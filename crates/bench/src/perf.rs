@@ -10,11 +10,12 @@
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
-use projtile_core::engine::{Engine, Query};
+use projtile_core::engine::{Engine, Query, SharedEngine};
 use projtile_core::{
     bounds, check_tightness, communication_lower_bound, hbl, optimal_tiling, parametric,
 };
 use projtile_loopnest::{builders, LoopNest};
+use serde::{json, Serialize, Value};
 
 /// Cache size for the bound-LP / subset-enumeration workloads (E6).
 pub const BOUND_M: u64 = 1 << 6;
@@ -110,6 +111,59 @@ pub fn tightness_nests() -> Vec<(u64, LoopNest)> {
 /// The large matmul nest of the `matmul` bench.
 pub fn matmul_nest() -> LoopNest {
     builders::matmul(MATMUL_L, MATMUL_L, MATMUL_L)
+}
+
+/// The JSON documents of the `serde/parse` workloads, as `(name, text)`,
+/// both printed by the workspace encoder: `shared_snapshot_multikind`, the
+/// snapshot of a `SharedEngine` that answered one query of every kind on
+/// three nests (the text a restarting server parses), and `analyze_request`,
+/// the body `projtile_service::Client::analyze` sends for the same queries
+/// on one nest (the text every `/analyze` request parses).
+pub fn serde_parse_documents() -> Vec<(String, String)> {
+    let m = TIGHTNESS_M;
+    let queries = vec![
+        Query::LowerBound { cache_size: m },
+        Query::EnumeratedBound { cache_size: m },
+        Query::OptimalTiling { cache_size: m },
+        Query::Tightness { cache_size: m },
+        Query::Surface {
+            cache_size: m,
+            axes: vec![0, 1],
+            lo_bounds: vec![1, 1],
+            hi_bounds: vec![1 << 10, 1 << 10],
+        },
+        Query::Slice {
+            cache_size: m,
+            axis: 1,
+            lo_bound: 1,
+            hi_bound: 1 << 12,
+        },
+    ];
+    let nests = [
+        builders::matmul(64, 64, 64),
+        builders::nbody(32, 64),
+        builders::random_projective(7, 5, 4, (1, 256)),
+    ];
+    let front = SharedEngine::new();
+    for nest in &nests {
+        for answer in front.analyze_batch(nest, &queries) {
+            answer.expect("valid query");
+        }
+    }
+    let request = json::to_string(&Value::Object(vec![
+        ("nest".to_string(), nests[2].serialize()),
+        (
+            "queries".to_string(),
+            Value::Array(queries.iter().map(Serialize::serialize).collect()),
+        ),
+    ]));
+    vec![
+        (
+            "shared_snapshot_multikind".to_string(),
+            front.snapshot_json(),
+        ),
+        ("analyze_request".to_string(), request),
+    ]
 }
 
 /// One named, timed workload.
@@ -344,6 +398,17 @@ pub fn default_workloads() -> Vec<Workload> {
             std::hint::black_box(restored.analyze(&n, &q).expect("valid query"));
         }),
     });
+
+    // serde/parse: the JSON decoder alone on the texts a restart and an
+    // /analyze request parse (engine/snapshot_restore above pays it too).
+    for (name, text) in serde_parse_documents() {
+        workloads.push(Workload {
+            name: format!("serde/parse/{name}"),
+            run: Box::new(move || {
+                std::hint::black_box(json::parse(&text).expect("encoder output parses"));
+            }),
+        });
+    }
 
     // The memoized exponent_at_bound path (JIT probe): cold oracle (one LP
     // solve per probe) vs engine (slice lookup after the first sweep).

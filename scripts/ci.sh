@@ -50,6 +50,9 @@ fi
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test -q -p serde (shims are not default members: JSON codec oracle and byte pins)"
+cargo test -q -p serde
+
 echo "==> cargo test -q (PROJTILE_THREADS=4: multi-threaded sweeps + SharedEngine stress)"
 PROJTILE_THREADS=4 cargo test -q
 
@@ -81,6 +84,7 @@ if [ "$bench_smoke" = 1 ]; then
     grep -q "engine/concurrent" "$smoke_out"
     grep -q "engine/evicted_rewarm" "$smoke_out"
     grep -q "engine/snapshot_restore" "$smoke_out"
+    grep -q "serde/parse" "$smoke_out"
     grep -q "service/roundtrip" "$smoke_out"
     grep -q "service/mixed_4threads/secs_per_request" "$smoke_out"
     grep -q "service/mixed_4threads/p99" "$smoke_out"

@@ -335,6 +335,8 @@ impl Deserialize for Value {
 /// JSON printing and parsing for [`Value`] trees (the `serde_json` corner of
 /// the shim).
 pub mod json {
+    use std::fmt::Write as _;
+
     use super::{Deserialize, Error, Serialize, Value};
 
     /// Maximum container nesting depth the parser accepts. The parser
@@ -344,6 +346,9 @@ pub mod json {
     /// error instead. 128 levels is far deeper than any document this
     /// workspace produces.
     pub const MAX_DEPTH: usize = 128;
+
+    #[cfg(test)]
+    mod reference;
 
     /// Serializes `t` and prints it as compact JSON.
     pub fn to_string<T: Serialize + ?Sized>(t: &T) -> String {
@@ -382,17 +387,23 @@ pub mod json {
     }
 
     fn write_value(v: &Value, out: &mut String) {
+        // Writing into a `String` cannot fail, so the `fmt::Result`s of the
+        // `write!`s below carry no information.
         match v {
             Value::Null => out.push_str("null"),
             Value::Bool(true) => out.push_str("true"),
             Value::Bool(false) => out.push_str("false"),
-            Value::Int(i) => out.push_str(&i.to_string()),
+            Value::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
             Value::Float(f) => {
                 if f.is_finite() {
                     // Rust's shortest-round-trip formatting: parsing the
                     // printed decimal recovers the exact bit pattern.
-                    out.push_str(&format!("{f}"));
-                    if f.fract() == 0.0 && !format!("{f}").contains(['e', 'E', '.']) {
+                    let start = out.len();
+                    let _ = write!(out, "{f}");
+                    let printed = out.get(start..).unwrap_or_default();
+                    if f.fract() == 0.0 && !printed.contains(['e', 'E', '.']) {
                         out.push_str(".0");
                     }
                 } else if f.is_nan() {
@@ -429,21 +440,32 @@ pub mod json {
         }
     }
 
+    /// Prints `s` as a JSON string literal, copying each run of bytes that
+    /// needs no escape whole. Every escaped byte is ASCII, so run boundaries
+    /// are always character boundaries.
     fn write_string(s: &str, out: &mut String) {
         out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                '\u{08}' => out.push_str("\\b"),
-                '\u{0C}' => out.push_str("\\f"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
+        let mut run_start = 0;
+        for (i, b) in s.bytes().enumerate() {
+            if b != b'"' && b != b'\\' && b >= 0x20 {
+                continue;
             }
+            out.push_str(s.get(run_start..i).unwrap_or_default());
+            match b {
+                b'"' => out.push_str("\\\""),
+                b'\\' => out.push_str("\\\\"),
+                b'\n' => out.push_str("\\n"),
+                b'\r' => out.push_str("\\r"),
+                b'\t' => out.push_str("\\t"),
+                0x08 => out.push_str("\\b"),
+                0x0C => out.push_str("\\f"),
+                _ => {
+                    let _ = write!(out, "\\u{b:04x}");
+                }
+            }
+            run_start = i + 1;
         }
+        out.push_str(s.get(run_start..).unwrap_or_default());
         out.push('"');
     }
 
@@ -540,6 +562,10 @@ pub mod json {
         }
     }
 
+    /// Decodes the string literal starting at `*pos` in one linear pass: each
+    /// run of plain bytes up to the next `"`, `\` or control byte is
+    /// validated as UTF-8 once and appended whole, then the byte that ended
+    /// the run is handled.
     fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
         if bytes.get(*pos) != Some(&b'"') {
             return Err(Error::custom(format!("expected a string at byte {}", *pos)));
@@ -548,6 +574,19 @@ pub mod json {
         *pos += 1;
         let mut out = String::new();
         loop {
+            let rest = bytes.get(*pos..).unwrap_or_default();
+            let run_len = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            if run_len > 0 {
+                let run =
+                    std::str::from_utf8(rest.get(..run_len).unwrap_or_default()).map_err(|e| {
+                        Error::custom(format!("invalid UTF-8 at byte {}", *pos + e.valid_up_to()))
+                    })?;
+                out.push_str(run);
+                *pos += run_len;
+            }
             match bytes.get(*pos) {
                 None => {
                     return Err(Error::custom(format!(
@@ -560,80 +599,81 @@ pub mod json {
                 }
                 Some(b'\\') => {
                     *pos += 1;
-                    match bytes.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{08}'),
-                        Some(b'f') => out.push('\u{0C}'),
-                        Some(b'u') => {
-                            let hi = parse_hex4(bytes, *pos + 1)?;
-                            *pos += 4;
-                            // Combine surrogate pairs; lone surrogates error.
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                if bytes.get(*pos + 1) == Some(&b'\\')
-                                    && bytes.get(*pos + 2) == Some(&b'u')
-                                {
-                                    let lo = parse_hex4(bytes, *pos + 3)?;
-                                    if !(0xDC00..0xE000).contains(&lo) {
-                                        return Err(Error::custom(format!(
-                                            "high surrogate not followed by a low surrogate at byte {}",
-                                            *pos + 1
-                                        )));
-                                    }
-                                    *pos += 6;
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                                } else {
-                                    return Err(Error::custom(format!(
-                                        "lone surrogate in string at byte {}",
-                                        *pos - 5
-                                    )));
-                                }
-                            } else {
-                                hi
-                            };
-                            out.push(char::from_u32(code).ok_or_else(|| {
-                                Error::custom(format!("invalid \\u escape at byte {}", *pos - 5))
-                            })?);
-                        }
-                        _ => {
-                            return Err(Error::custom(format!(
-                                "invalid escape sequence at byte {}",
-                                *pos - 1
-                            )))
-                        }
-                    }
+                    parse_escape(bytes, pos, &mut out)?;
                     *pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(bytes.get(*pos..).unwrap_or_default())
-                        .map_err(|_| Error::custom(format!("invalid UTF-8 at byte {}", *pos)))?;
-                    let Some(c) = rest.chars().next() else {
-                        return Err(Error::custom(format!(
-                            "unterminated string at byte {}",
-                            *pos
-                        )));
-                    };
-                    out.push(c);
-                    *pos += c.len_utf8();
+                Some(&b) => {
+                    // RFC 8259 §7: U+0000–U+001F must be escaped in strings.
+                    return Err(Error::custom(format!(
+                        "unescaped control character U+{b:04X} in string at byte {}",
+                        *pos
+                    )));
                 }
             }
         }
     }
 
-    fn parse_hex4(bytes: &[u8], pos: usize) -> Result<u32, Error> {
-        if pos + 4 > bytes.len() {
-            return Err(Error::custom(format!("truncated \\u escape at byte {pos}")));
+    /// Decodes the escape whose backslash sits just before `*pos`, leaving
+    /// `*pos` on the escape's last byte.
+    fn parse_escape(bytes: &[u8], pos: &mut usize, out: &mut String) -> Result<(), Error> {
+        match bytes.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{08}'),
+            Some(b'f') => out.push('\u{0C}'),
+            Some(b'u') => {
+                let hi = parse_hex4(bytes, *pos + 1)?;
+                *pos += 4;
+                // Combine surrogate pairs; lone surrogates error.
+                let code = if (0xD800..0xDC00).contains(&hi) {
+                    if bytes.get(*pos + 1) == Some(&b'\\') && bytes.get(*pos + 2) == Some(&b'u') {
+                        let lo = parse_hex4(bytes, *pos + 3)?;
+                        if !(0xDC00..0xE000).contains(&lo) {
+                            return Err(Error::custom(format!(
+                                "high surrogate not followed by a low surrogate at byte {}",
+                                *pos + 1
+                            )));
+                        }
+                        *pos += 6;
+                        0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                    } else {
+                        return Err(Error::custom(format!(
+                            "lone surrogate in string at byte {}",
+                            *pos - 5
+                        )));
+                    }
+                } else {
+                    hi
+                };
+                out.push(char::from_u32(code).ok_or_else(|| {
+                    Error::custom(format!("invalid \\u escape at byte {}", *pos - 5))
+                })?);
+            }
+            _ => {
+                return Err(Error::custom(format!(
+                    "invalid escape sequence at byte {}",
+                    *pos - 1
+                )))
+            }
         }
-        let s = std::str::from_utf8(&bytes[pos..pos + 4])
-            .map_err(|_| Error::custom(format!("invalid \\u escape at byte {pos}")))?;
-        u32::from_str_radix(s, 16)
-            .map_err(|_| Error::custom(format!("invalid \\u escape at byte {pos}")))
+        Ok(())
+    }
+
+    /// Reads the exactly four ASCII hex digits of a `\u` escape at `pos`.
+    fn parse_hex4(bytes: &[u8], pos: usize) -> Result<u32, Error> {
+        let Some(digits) = bytes.get(pos..pos + 4) else {
+            return Err(Error::custom(format!("truncated \\u escape at byte {pos}")));
+        };
+        digits.iter().try_fold(0u32, |code, &b| {
+            char::from(b)
+                .to_digit(16)
+                .map(|digit| code << 4 | digit)
+                .ok_or_else(|| Error::custom(format!("invalid \\u escape at byte {pos}")))
+        })
     }
 
     fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
@@ -748,8 +788,35 @@ mod tests {
         // parse error, not a panic (regression: u32 underflow).
         assert!(json::parse("\"\\ud800\\u0041\"").is_err());
         assert!(json::parse("\"\\ud800\\ud800\"").is_err());
+        // `\u` takes exactly four ASCII hex digits: no sign (regression:
+        // `u32::from_str_radix` accepted `+041` as `A`).
+        assert_eq!(
+            json::parse(r#""\u+041""#),
+            Err(Error::custom("invalid \\u escape at byte 3"))
+        );
+        assert!(json::parse(r#""\u-041""#).is_err());
+        assert!(json::parse(r#""\u 041""#).is_err());
         assert!(json::from_str::<u8>("300").is_err());
         assert!(json::from_str::<bool>("\"yes\"").is_err());
+    }
+
+    #[test]
+    fn raw_control_characters_are_rejected() {
+        // RFC 8259 §7: U+0000–U+001F must be escaped inside strings, in
+        // values and keys alike; the error names the offending byte.
+        assert_eq!(
+            json::parse("[\"ab\ncd\"]"),
+            Err(Error::custom(
+                "unescaped control character U+000A in string at byte 4"
+            ))
+        );
+        assert_eq!(
+            json::parse("{\"k\u{1f}\":1}"),
+            Err(Error::custom(
+                "unescaped control character U+001F in string at byte 3"
+            ))
+        );
+        assert!(json::parse("\"\u{0}\"").is_err());
     }
 
     #[test]
