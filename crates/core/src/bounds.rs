@@ -203,6 +203,7 @@ pub fn enumerated_exponent(nest: &LoopNest, cache_size: u64) -> EnumeratedBound 
 /// The pre-batching form of [`enumerated_exponent`]: one independent cold LP
 /// solve per subset. Kept as the differential oracle for the warm-started
 /// sweep (the test suite asserts exact equality of the full result).
+// lint: allow(L008) asserts pin the cache-size and subset-width preconditions established by validate_query
 pub fn enumerated_exponent_cold(nest: &LoopNest, cache_size: u64) -> EnumeratedBound {
     assert!(cache_size >= 2, "cache size must be at least 2 words");
     let d = nest.num_loops();

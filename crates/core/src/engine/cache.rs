@@ -1,13 +1,14 @@
-//! Bounded per-session artifact caches behind the [`crate::engine::Engine`].
+//! Keys, payloads and costs of the bounded memo caches in each shard of a
+//! [`crate::engine::SharedEngine`].
 //!
-//! Since PR 5 every memo map of the engine is a cost-aware
-//! [`projtile_cachesim::BoundedLru`] (approximate heap bytes as the cost
-//! unit, caps set by [`crate::engine::EngineConfig`]), keyed at the engine
-//! level so one budget governs each artifact class across *all* interned
-//! nests:
+//! Every memo map is a cost-aware [`projtile_cachesim::BoundedLru`]
+//! (approximate heap bytes as the cost unit, caps set by
+//! [`crate::engine::EngineConfig`]), keyed at the shard level so one budget
+//! governs each artifact class across *all* nests of the shard:
 //!
 //! * **β vectors** ([`BetaKey`]) — per `(nest, cache size)`, canonical loop
-//!   order, shared by every orientation;
+//!   order. Nothing computes into this cache; it holds only the β vectors a
+//!   restored snapshot carries;
 //! * **typed results** ([`ResultKey`]) — per `(nest, orientation, cache
 //!   size, kind)`: the `LowerBound`, `EnumeratedBound`, tiling summary and
 //!   tightness report, plus the internal Theorem-3 certificate-validity bit
@@ -37,8 +38,8 @@ use projtile_lp::parametric::ValueFunction;
 
 use crate::bounds::{EnumeratedBound, LowerBound};
 use crate::engine::query::{SurfaceSummary, TilingSummary};
-use crate::hbl::HblFamily;
-use crate::parametric::ExponentSurface;
+use crate::engine::summarize_surface;
+use crate::parametric::{sort_surface_request, ExponentSurface};
 use crate::tightness::TightnessReport;
 use projtile_loopnest::LoopNest;
 
@@ -137,6 +138,31 @@ pub(crate) struct SurfaceKey {
     pub hi_bounds: Vec<u64>,
 }
 
+impl SurfaceKey {
+    /// The canonical (sorted-axes) key of a surface request on orientation
+    /// `(entry, orientation)`, plus the remap presenting the stored surface
+    /// in the request's axis order (`None` when the request is sorted).
+    pub fn for_request(
+        entry: usize,
+        orientation: usize,
+        m: u64,
+        axes: &[usize],
+        lo_bounds: &[u64],
+        hi_bounds: &[u64],
+    ) -> (SurfaceKey, Option<Vec<usize>>) {
+        let (axes, lo_bounds, hi_bounds, order) = sort_surface_request(axes, lo_bounds, hi_bounds);
+        let key = SurfaceKey {
+            entry,
+            orientation,
+            m,
+            axes,
+            lo_bounds,
+            hi_bounds,
+        };
+        (key, order)
+    }
+}
+
 /// A memoized surface in sorted-axes order, with its wire-ready summary.
 #[derive(Debug, Clone)]
 pub(crate) struct StoredSurface {
@@ -144,21 +170,27 @@ pub(crate) struct StoredSurface {
     pub summary: SurfaceSummary,
 }
 
-/// One declaration order of an interned nest. Holds only identity (the
-/// permutations and the oriented nest) plus the warm HBL solver; all
-/// memoized artifacts live in the engine-level bounded caches.
+impl StoredSurface {
+    /// The summary in a request's axis order: the stored one for a sorted
+    /// request, else the exact [`ExponentSurface::with_axis_order`] remap —
+    /// the same remap the free function applies, so the answer is bitwise
+    /// the free function's for that order.
+    pub fn summary_for(&self, axes: &[usize], order: Option<&[usize]>) -> SurfaceSummary {
+        match order {
+            None => self.summary.clone(),
+            Some(order) => summarize_surface(&self.surface.with_axis_order(order), axes),
+        }
+    }
+}
+
+/// One declaration order of an interned nest: its permutations onto the
+/// canonical nest. Every memoized artifact lives in the shard-level
+/// bounded caches.
 pub(crate) struct Orientation {
     /// `original loop position → canonical position`.
     pub loop_perm: Vec<usize>,
     /// `original array position → canonical position`.
     pub array_perm: Vec<usize>,
-    /// The nest in this orientation (the one the caller queries with).
-    pub nest: LoopNest,
-    /// Warm row-relaxed HBL solver, shared by every enumeration/tightness
-    /// query of this orientation (its constraint matrix does not depend on
-    /// the cache size). Never evicted (it is solver state, not a result)
-    /// and never serialized (rebuilt lazily after a restore).
-    pub hbl_family: Option<HblFamily>,
 }
 
 /// Identity of one interned canonical signature.

@@ -1,13 +1,15 @@
 //! The thread-safe service front: a [`SharedEngine`] sharding session state
-//! by canonical nest signature.
+//! by canonical nest signature. Its [`SharedEngine::analyze_batch`] is the
+//! engine's only resolution pipeline; [`super::Engine`] is a one-shard
+//! front behind a `&mut self` façade.
 //!
 //! # Concurrency model
 //!
 //! * **Sharding.** Each interned nest lives in exactly one shard (chosen by
 //!   hashing its permutation-invariant [`NestSignature`]), and each shard is
-//!   an independent [`Engine`] behind a `parking_lot` reader-writer lock.
-//!   Traffic on distinct nests contends only when the nests hash to the same
-//!   shard.
+//!   a store of interned nests and bounded memo caches behind a
+//!   `parking_lot` reader-writer lock. Traffic on distinct nests contends
+//!   only when the nests hash to the same shard.
 //! * **Lock-free read path for hits.** A cache hit takes only the shard's
 //!   *shared* read lock: the memoized answer is read through
 //!   [`projtile_cachesim::BoundedLru::peek`], which records recency in
@@ -16,20 +18,19 @@
 //!   a writer (the stamps are folded into the eviction order by the next
 //!   exclusive operation).
 //! * **Compute outside the locks.** A miss computes with the stateless
-//!   free-function paths (identical bitwise to the memoizing paths) using a
-//!   solver context checked out of the front's shared
-//!   [`projtile_lp::ContextPool`] — one context per worker, so concurrent
-//!   `analyze_batch` calls from many threads never serialize on one warm
-//!   tableau — and only then takes the shard's write lock, briefly, to
-//!   intern and install. Two threads racing on the same query compute the
-//!   same bitwise value; the loser's install is an idempotent overwrite.
+//!   free-function paths using a solver context checked out of the front's
+//!   shared [`projtile_lp::ContextPool`] — one context per worker, so
+//!   concurrent `analyze_batch` calls from many threads never serialize on
+//!   one warm tableau — and only then takes the shard's write lock, briefly,
+//!   to intern and install. Two threads racing on the same query compute
+//!   the same bitwise value; the loser's install is an idempotent overwrite.
 //!
-//! Answers are bitwise-identical to a single-threaded [`Engine`] and to the
-//! cold free functions, under any interleaving and any eviction pressure —
-//! pinned by the multi-threaded differential proptests.
+//! Answers are bitwise-identical to the cold free functions
+//! ([`super::cold_answer`]), under any interleaving and any eviction
+//! pressure — pinned by the multi-threaded differential proptests.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -39,11 +40,12 @@ use projtile_lp::ContextPool;
 use projtile_par::par_map_with;
 use serde::{json, Value};
 
+use super::shard::Shard;
 use super::snapshot::SNAPSHOT_VERSION;
 use super::trace::{outcome, TraceDocument, TraceEvent, TraceRecorder, TRACE_VERSION};
 use super::{
-    compute_detached, query_kind_index, validate_query, AnalysisResult, CacheMetrics, Engine,
-    EngineConfig, EngineError, EngineStats, Query, QUERY_KIND_COUNT,
+    compute_detached, query_kind_index, validate_query, AnalysisResult, CacheMetrics, EngineConfig,
+    EngineError, EngineStats, Query, QUERY_KIND_COUNT,
 };
 
 /// A thread-safe, sharded analysis service front. Create once, share by
@@ -69,7 +71,7 @@ use super::{
 /// }
 /// ```
 pub struct SharedEngine {
-    shards: Vec<RwLock<Engine>>,
+    shards: Vec<RwLock<Shard>>,
     pool: ContextPool,
     queries: AtomicU64,
     hits: AtomicU64,
@@ -127,9 +129,7 @@ impl SharedEngine {
         };
         let n = n as usize;
         SharedEngine {
-            shards: (0..n)
-                .map(|_| RwLock::new(Engine::with_config(per_shard)))
-                .collect(),
+            shards: (0..n).map(|_| RwLock::new(Shard::new(per_shard))).collect(),
             pool: ContextPool::new(),
             queries: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -156,37 +156,18 @@ impl SharedEngine {
             interned: self
                 .shards
                 .iter()
-                .map(|s| s.read().num_interned() as u64)
+                .map(|s| s.read().entries.len() as u64)
                 .sum(),
         }
     }
 
     /// Cache occupancy and eviction counters, summed across shards, plus
-    /// per-query-kind hit/miss counters. The front resolves queries itself
-    /// (peek + install), so its shard engines' own kind counters stay zero
-    /// and the per-kind totals come from the front's atomics.
+    /// per-query-kind hit/miss counters.
     pub fn cache_metrics(&self) -> CacheMetrics {
         let mut total = CacheMetrics::default();
         for shard in &self.shards {
-            // Engine::cache_metrics only reads its own caches; the edge into
-            // SharedEngine::stats is a same-name dispatch over-approximation.
-            // lint: allow(L009) Engine::cache_metrics reads shard-local caches only
-            let m = shard.read().cache_metrics();
-            for (acc, part) in [
-                (&mut total.betas, m.betas),
-                (&mut total.results, m.results),
-                (&mut total.slices, m.slices),
-                (&mut total.surfaces, m.surfaces),
-            ] {
-                acc.entries += part.entries;
-                acc.cost += part.cost;
-                acc.capacity += part.capacity;
-                acc.evictions += part.evictions;
-            }
-            for (acc, part) in total.kinds.iter_mut().zip(m.kinds) {
-                acc.hits += part.hits;
-                acc.misses += part.misses;
-            }
+            // lint: allow(L009) BoundedLru::stats reads counters only; the edge into SharedEngine::stats is a same-name dispatch over-approximation
+            shard.read().add_cache_stats(&mut total);
         }
         for ((acc, hits), misses) in total
             .kinds
@@ -194,8 +175,8 @@ impl SharedEngine {
             .zip(&self.kind_hits)
             .zip(&self.kind_misses)
         {
-            acc.hits += hits.load(Ordering::Relaxed);
-            acc.misses += misses.load(Ordering::Relaxed);
+            acc.hits = hits.load(Ordering::Relaxed);
+            acc.misses = misses.load(Ordering::Relaxed);
         }
         total
     }
@@ -230,15 +211,10 @@ impl SharedEngine {
     /// needs to reproduce the live accounting.
     pub fn trace_document(&self) -> TraceDocument {
         let stats = self.stats();
-        let shard_config = self
-            .shards
-            .first()
-            .map(|s| s.read().config())
-            .unwrap_or_default();
         TraceDocument {
             version: TRACE_VERSION,
             num_shards: self.shards.len() as u32,
-            shard_config,
+            shard_config: self.shard_config(),
             queries: stats.queries.saturating_sub(self.trace_base.queries),
             hits: stats.hits.saturating_sub(self.trace_base.hits),
             misses: stats.misses.saturating_sub(self.trace_base.misses),
@@ -260,122 +236,38 @@ impl SharedEngine {
     }
 
     /// The shard lock routed to by `hash`.
-    fn shard(&self, hash: u64) -> &RwLock<Engine> {
+    fn shard(&self, hash: u64) -> &RwLock<Shard> {
         // lint: allow(L008) shard_index is always < shards.len() (checked_rem) and shards is non-empty by construction
         &self.shards[self.shard_index(hash)]
     }
 
-    /// Answers one typed query about `nest`. Hits are served under the
-    /// shard's read lock; misses compute outside any lock and install under
-    /// a brief write lock. Answers are bitwise-identical to
-    /// [`Engine::analyze`] on a private session.
+    /// Answers one typed query about `nest`: a one-query
+    /// [`SharedEngine::analyze_batch`], so a hit on an interned orientation
+    /// takes only the shard's read lock.
     pub fn analyze(&self, nest: &LoopNest, query: &Query) -> Result<AnalysisResult, EngineError> {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        validate_query(nest, query)?;
-        let canon = canonicalize(nest);
-        let sig_hash = hash_u64(&canon.signature());
-        let shard = self.shard(sig_hash);
-        let kind = query_kind_index(query);
-        // Build the hashed trace identity before `canon` is consumed by
-        // interning; with recording disabled this is skipped entirely.
-        let traced = self.recorder.enabled().then(|| {
-            let orient = orientation_hash(sig_hash, &canon);
-            (
-                orient,
-                hash_u64(query),
-                family_hash(sig_hash, orient, &canon, query),
-            )
-        });
-        {
-            let engine = shard.read();
-            if let Some((e, o)) = engine.find_indices(&canon) {
-                if let Some(result) = engine.peek_cached(e, o, query) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    bump(&self.kind_hits, kind);
-                    if let Some(id) = traced {
-                        self.record_single(sig_hash, id, query, outcome::HIT, Vec::new());
-                    }
-                    return Ok(result);
-                }
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        bump(&self.kind_misses, kind);
-        // Compute with no lock held: the detached path is bitwise-identical
-        // to the memoizing path (both bottom out in path-independent
-        // solves), so racing threads install interchangeable values.
-        let detached = {
-            let mut ctx = self.pool.checkout();
-            compute_detached(
-                nest,
-                canon.nest(),
-                canon.loop_permutation(),
-                query,
-                &mut ctx,
-            )
-        };
-        let detached = match detached {
-            Ok(d) => d,
-            Err(err) => {
-                // Counted as a miss but nothing interned or installed: the
-                // replay must not intern the orientation either.
-                if let Some(id) = traced {
-                    self.record_single(sig_hash, id, query, outcome::FAILED_NO_INTERN, Vec::new());
-                }
-                return Err(err);
-            }
-        };
-        let costs = if traced.is_some() {
-            super::detached_costs(&detached)
-        } else {
-            Vec::new()
-        };
-        let result = {
-            let mut engine = shard.write();
-            let (e, o) = engine.intern_with(nest, canon);
-            // `install` hands back the caller-facing result directly, so the
-            // write lock is held only for the cache insertions — no
-            // re-lookup, no surface re-remap under the lock.
-            engine.install(e, o, query, detached)
-        };
-        if let Some(id) = traced {
-            match &result {
-                Ok(_) => self.record_single(sig_hash, id, query, outcome::MISS, costs),
-                Err(_) => self.record_single(sig_hash, id, query, outcome::FAILED, Vec::new()),
-            }
-        }
-        result
+        self.analyze_batch(nest, std::slice::from_ref(query))
+            .pop()
+            .unwrap_or(Err(EngineError::Internal(
+                "a one-query batch answered nothing",
+            )))
     }
 
-    /// Records the lone event of a single-query call (its own batch).
-    fn record_single(
-        &self,
-        sig_hash: u64,
-        (orient, lhash, fam): (u64, u64, u64),
-        query: &Query,
-        outcome: u8,
-        costs: Vec<u64>,
-    ) {
-        let batch = self.recorder.next_batch();
-        self.recorder.record(vec![TraceEvent {
-            ordinal: 0,
-            batch,
-            sig: sig_hash,
-            orient,
-            kind: query_kind_index(query) as u8,
-            m: query.cache_size(),
-            lhash,
-            fam,
-            outcome,
-            costs,
-        }]);
-    }
-
-    /// Answers a batch of queries about `nest`, in input order — the
-    /// concurrent counterpart of [`Engine::analyze_batch`]. Hits are read
-    /// under the shard's read lock; the remaining distinct queries fan out
-    /// through `projtile_par` with per-worker pooled solver contexts before
-    /// one write-lock installation pass.
+    /// Answers a batch of queries about `nest`, in input order. This is the
+    /// engine's one resolution pipeline:
+    ///
+    /// 1. validate every query and collect the distinct valid literals;
+    /// 2. canonicalize the nest and probe the caches under the shard's read
+    ///    lock;
+    /// 3. dedupe the unanswered literals by cache-canonical form;
+    /// 4. compute each distinct miss with no lock held, fanned out through
+    ///    `projtile_par` with per-worker pooled solver contexts;
+    /// 5. under one write lock, intern the orientation and install the
+    ///    results (skipped when every literal hit and the orientation is
+    ///    already interned);
+    /// 6. count hits and misses and record the batch's trace events.
+    ///
+    /// Repeats of a computed literal are counted as neither hit nor miss;
+    /// permuted-axes surface twins of a computed literal count as hits.
     pub fn analyze_batch(
         &self,
         nest: &LoopNest,
@@ -383,195 +275,211 @@ impl SharedEngine {
     ) -> Vec<Result<AnalysisResult, EngineError>> {
         self.queries
             .fetch_add(queries.len() as u64, Ordering::Relaxed);
-        let validity: Vec<Option<EngineError>> = queries
+        // 1. Validate; name each valid position by its distinct literal.
+        let mut literals: Vec<&Query> = Vec::new();
+        let mut literal_index: HashMap<&Query, usize> = HashMap::new();
+        let slots: Vec<Result<usize, EngineError>> = queries
             .iter()
-            .map(|q| validate_query(nest, q).err())
-            .collect();
-        if validity.iter().all(|v| v.is_some()) {
-            // All invalid (`flatten` preserves the length: all are `Some`).
-            return validity.into_iter().flatten().map(Err).collect();
-        }
-        let canon = canonicalize(nest);
-        let sig_hash = hash_u64(&canon.signature());
-        let shard = self.shard(sig_hash);
-        let tracing = self.recorder.enabled();
-        // Hashed trace identities per valid query, built while `canon` is
-        // still available (interning consumes it below).
-        let orient_hash = tracing.then(|| orientation_hash(sig_hash, &canon));
-        let identities: Vec<Option<(u64, u64)>> = match orient_hash {
-            Some(orient) => queries
-                .iter()
-                .zip(&validity)
-                .map(|(q, v)| {
-                    v.is_none()
-                        .then(|| (hash_u64(q), family_hash(sig_hash, orient, &canon, q)))
-                })
-                .collect(),
-            None => Vec::new(),
-        };
-
-        // Serve what is already memoized from the read path.
-        let mut cached: HashMap<Query, AnalysisResult> = HashMap::new();
-        {
-            let engine = shard.read();
-            if let Some((e, o)) = engine.find_indices(&canon) {
-                for (q, v) in queries.iter().zip(&validity) {
-                    if v.is_none() && !cached.contains_key(q) {
-                        if let Some(result) = engine.peek_cached(e, o, q) {
-                            cached.insert(q.clone(), result);
-                        }
-                    }
-                }
-            }
-        }
-        // Distinct uncached queries, deduplicated by cache-canonical form
-        // (permuted-axes twins compute once); duplicate occurrences count
-        // as hits, exactly like [`Engine::analyze_batch`]'s accounting.
-        let mut pending: Vec<Query> = Vec::new();
-        let mut pending_forms: HashMap<Query, ()> = HashMap::new();
-        for (q, v) in queries.iter().zip(&validity) {
-            if v.is_none()
-                && !cached.contains_key(q)
-                && pending_forms
-                    .insert(super::canonical_query_form(q), ())
-                    .is_none()
-            {
-                pending.push(q.clone());
-            }
-        }
-        let mut hit_count = 0u64;
-        for (q, v) in queries.iter().zip(&validity) {
-            if v.is_none() && !pending.contains(q) {
-                hit_count += 1;
-                bump(&self.kind_hits, query_kind_index(q));
-            }
-        }
-        self.hits.fetch_add(hit_count, Ordering::Relaxed);
-        self.misses
-            .fetch_add(pending.len() as u64, Ordering::Relaxed);
-        for q in &pending {
-            bump(&self.kind_misses, query_kind_index(q));
-        }
-
-        // Fan out with no lock held; one pooled context per worker chunk.
-        let computed: Vec<(Query, Result<super::Detached, EngineError>)> = {
-            let orientation_nest = nest;
-            let canonical = canon.nest();
-            let loop_perm = canon.loop_permutation();
-            let pool = &self.pool;
-            par_map_with(
-                &pending,
-                || pool.checkout(),
-                |ctx, _, q| {
-                    (
-                        q.clone(),
-                        compute_detached(orientation_nest, canonical, loop_perm, q, ctx),
-                    )
-                },
-            )
-        };
-
-        let mut errors: HashMap<Query, EngineError> = HashMap::new();
-        let mut installed: HashMap<Query, AnalysisResult> = HashMap::new();
-        let mut install_costs: HashMap<Query, Vec<u64>> = HashMap::new();
-        let mut engine = shard.write();
-        let (e, o) = engine.intern_with(nest, canon);
-        for (q, res) in computed {
-            match res {
-                Ok(detached) => {
-                    if tracing {
-                        install_costs.insert(q.clone(), super::detached_costs(&detached));
-                    }
-                    match engine.install(e, o, &q, detached) {
-                        Ok(result) => {
-                            installed.insert(q, result);
-                        }
-                        Err(err) => {
-                            errors.insert(q, err);
-                        }
-                    }
-                }
-                Err(err) => {
-                    errors.insert(q, err);
-                }
-            }
-        }
-        let results: Vec<Result<AnalysisResult, EngineError>> = queries
-            .iter()
-            .zip(&validity)
-            .map(|(q, v)| {
-                if let Some(err) = v {
-                    return Err(err.clone());
-                }
-                if let Some(err) = errors.get(q) {
-                    return Err(err.clone());
-                }
-                if let Some(result) = cached.get(q) {
-                    return Ok(result.clone());
-                }
-                if let Some(result) = installed.get(q) {
-                    return Ok(result.clone());
-                }
-                // A canonical twin of this query was computed and installed
-                // under the shared key; answer by the exact remap. The warm
-                // context pool mutex inside is a leaf lock: checkout pops a
-                // free context and releases before any shard lock is touched.
-                // lint: allow(L009) ContextPool's mutex is a leaf lock, released before any shard access
-                engine.answer(e, o, q)
+            .map(|q| {
+                validate_query(nest, q)?;
+                Ok(*literal_index.entry(q).or_insert_with(|| {
+                    literals.push(q);
+                    literals.len() - 1
+                }))
             })
             .collect();
-        drop(engine);
-        if let Some(orient) = orient_hash {
-            // One contiguous event group per batch, in input order; the
-            // outcome classification mirrors the accounting above exactly
-            // (hit / first-pending miss / duplicate literal / failed).
-            let batch = self.recorder.next_batch();
-            let mut seen_pending: HashSet<&Query> = HashSet::new();
-            let mut events = Vec::new();
-            for ((q, id), installed_ok) in queries.iter().zip(&identities).zip(&results) {
-                let Some((lhash, fam)) = id else { continue };
-                let (oc, costs) = if cached.contains_key(q) {
-                    (outcome::HIT, Vec::new())
-                } else if pending.contains(q) {
-                    if seen_pending.insert(q) {
-                        if installed_ok.is_err() {
-                            (outcome::FAILED, Vec::new())
-                        } else {
-                            (
-                                outcome::MISS,
-                                install_costs.get(q).cloned().unwrap_or_default(),
-                            )
-                        }
-                    } else {
-                        (outcome::DUPLICATE, Vec::new())
+        if literals.is_empty() {
+            // Nothing valid to intern, compute or trace (`filter_map` keeps
+            // the length: every slot is an error).
+            return slots.into_iter().filter_map(Result::err).map(Err).collect();
+        }
+
+        // 2. Read pass. Slices are keyed by signature, not declaration
+        // order, so they are found even before this orientation is interned.
+        let canon = canonicalize(nest);
+        let loop_perm = canon.loop_permutation();
+        let sig = hash_u64(&canon.signature());
+        let shard = self.shard(sig);
+        let tracing = self.recorder.enabled();
+        let (mut answers, oriented) = {
+            let store = shard.read();
+            let found = store.find(&canon);
+            let answers: Vec<Option<Result<AnalysisResult, EngineError>>> = literals
+                .iter()
+                .map(|q| {
+                    let (e, o) = found?;
+                    store.peek_cached(e, o, loop_perm, q).map(Ok)
+                })
+                .collect();
+            (answers, matches!(found, Some((_, Some(_)))))
+        };
+
+        // 3. Dedupe: the first unanswered literal of each cache-canonical
+        // form computes; the others of that form are its permuted-axes twins.
+        let mut forms: HashMap<Query, usize> = HashMap::new();
+        let roles: Vec<Role> = literals
+            .iter()
+            .zip(&answers)
+            .enumerate()
+            .map(|(l, (q, answer))| {
+                if answer.is_some() {
+                    return Role::Hit;
+                }
+                match forms.entry(super::canonical_query_form(q)) {
+                    Entry::Occupied(rep) => Role::Twin(*rep.get()),
+                    Entry::Vacant(slot) => {
+                        slot.insert(l);
+                        Role::Computes
                     }
-                } else {
-                    // A canonical twin: counted as a hit, answered by remap.
-                    (outcome::HIT, Vec::new())
+                }
+            })
+            .collect();
+        let pending: Vec<(usize, &Query)> = literals
+            .iter()
+            .zip(&roles)
+            .enumerate()
+            .filter(|(_, (_, role))| **role == Role::Computes)
+            .map(|(l, (q, _))| (l, *q))
+            .collect();
+
+        let mut costs: Vec<Vec<u64>> = vec![Vec::new(); literals.len()];
+        if !pending.is_empty() || !oriented {
+            // 4. Compute with no lock held; one pooled context per worker.
+            let computed = par_map_with(
+                &pending,
+                || self.pool.checkout(),
+                |ctx, _, (_, q)| compute_detached(nest, canon.nest(), loop_perm, q, ctx),
+            );
+            // 5. Write pass: intern, then install. Racing threads compute
+            // the same bitwise values, so a loser's install is an idempotent
+            // overwrite.
+            let mut store = shard.write();
+            let (e, o) = store.intern_with(&canon);
+            for (&(l, q), computed) in pending.iter().zip(computed) {
+                let answer = match computed {
+                    Ok(detached) => {
+                        // Twins are answered from the fresh surface before
+                        // it moves into the cache: no re-read, no recompute.
+                        answer_twins(&literals, &roles, &mut answers, l, |twin| {
+                            detached.answer_twin(twin)
+                        });
+                        if let (true, Some(c)) = (tracing, costs.get_mut(l)) {
+                            *c = detached.costs();
+                        }
+                        store.install(e, o, loop_perm, q, detached)
+                    }
+                    Err(err) => {
+                        answer_twins(&literals, &roles, &mut answers, l, |_| Err(err.clone()));
+                        Err(err)
+                    }
                 };
-                events.push(TraceEvent {
-                    ordinal: 0,
-                    batch,
-                    sig: sig_hash,
-                    orient,
-                    kind: query_kind_index(q) as u8,
-                    m: q.cache_size(),
-                    lhash: *lhash,
-                    fam: *fam,
-                    outcome: oc,
-                    costs,
-                });
+                if let Some(slot) = answers.get_mut(l) {
+                    *slot = Some(answer);
+                }
             }
+        }
+
+        // 6. Account and trace per position, in input order.
+        let orient = if tracing {
+            orientation_hash(sig, &canon)
+        } else {
+            0
+        };
+        let trace_batch = tracing.then(|| self.recorder.next_batch());
+        let mut events = Vec::new();
+        let mut counted = vec![false; literals.len()];
+        let results = slots
+            .into_iter()
+            .map(|slot| {
+                let l = slot?;
+                let (Some(query), Some(role), Some(answer), Some(counted)) = (
+                    literals.get(l),
+                    roles.get(l),
+                    answers.get(l),
+                    counted.get_mut(l),
+                ) else {
+                    return Err(EngineError::Internal("batch slot names no literal"));
+                };
+                let answer = answer
+                    .clone()
+                    .unwrap_or(Err(EngineError::Internal("query left unresolved")));
+                let kind = query_kind_index(query);
+                let oc = match role {
+                    Role::Computes if std::mem::replace(counted, true) => outcome::DUPLICATE,
+                    Role::Computes if answer.is_err() => outcome::FAILED,
+                    Role::Computes => outcome::MISS,
+                    Role::Hit | Role::Twin(_) => outcome::HIT,
+                };
+                if oc != outcome::DUPLICATE {
+                    self.count(kind, oc == outcome::HIT);
+                }
+                if let Some(batch) = trace_batch {
+                    events.push(TraceEvent {
+                        ordinal: 0,
+                        batch,
+                        sig,
+                        orient,
+                        kind: kind as u8,
+                        m: query.cache_size(),
+                        lhash: hash_u64(query),
+                        fam: family_hash(sig, orient, &canon, query),
+                        outcome: oc,
+                        costs: match (oc, costs.get(l)) {
+                            (outcome::MISS, Some(c)) => c.clone(),
+                            _ => Vec::new(),
+                        },
+                    });
+                }
+                answer
+            })
+            .collect();
+        if trace_batch.is_some() {
             self.recorder.record(events);
         }
         results
     }
 
+    /// Counts one resolved query as a hit or a miss, in total and per kind.
+    pub(super) fn count(&self, kind: usize, hit: bool) {
+        let (total, per_kind) = if hit {
+            (&self.hits, &self.kind_hits)
+        } else {
+            (&self.misses, &self.kind_misses)
+        };
+        total.fetch_add(1, Ordering::Relaxed);
+        // Best-effort: an out-of-range kind drops the count rather than
+        // panicking a query that already has its answer.
+        if let Some(c) = per_kind.get(kind) {
+            c.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Counts one query answered outside the batch pipeline (the
+    /// [`super::Engine`] façade's bound probe).
+    pub(super) fn count_query(&self) {
+        self.queries.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The per-shard cache budgets.
+    pub(super) fn shard_config(&self) -> EngineConfig {
+        self.shards
+            .first()
+            .map(|s| s.read().config)
+            .unwrap_or_default()
+    }
+
+    /// Exclusive access to the first shard — the only one of the
+    /// single-shard [`super::Engine`] façade — and the context pool, with
+    /// no lock guard held.
+    pub(super) fn sole_shard(&mut self) -> Option<(&mut Shard, &ContextPool)> {
+        let shard = self.shards.first_mut()?.get_mut();
+        Some((shard, &self.pool))
+    }
+
     /// Serializes the whole front — every shard's result caches — as one
-    /// snapshot document in the same format as [`Engine::snapshot`], so
-    /// snapshots move freely between sharded and single-threaded sessions
-    /// (and between fronts with different shard counts). Takes each shard's
-    /// write lock briefly, one at a time.
+    /// snapshot document (the format of [`super::Engine::snapshot`]), so
+    /// snapshots move freely between fronts with different shard counts.
+    /// Takes each shard's write lock briefly, one at a time.
     pub fn snapshot(&self) -> Value {
         let mut entries = Vec::new();
         let mut betas = Vec::new();
@@ -579,8 +487,7 @@ impl SharedEngine {
         let mut slices = Vec::new();
         let mut surfaces = Vec::new();
         for shard in &self.shards {
-            let mut engine = shard.write();
-            let (e, b, r, sl, su) = engine.snapshot_parts(entries.len());
+            let (e, b, r, sl, su) = shard.write().snapshot_parts(entries.len());
             entries.extend(e);
             betas.extend(b);
             results.extend(r);
@@ -603,8 +510,8 @@ impl SharedEngine {
     }
 
     /// Restores a front from a snapshot (produced by either
-    /// [`Engine::snapshot`] or [`SharedEngine::snapshot`]) with default
-    /// budgets and shard count. Entries are routed to their home shards by
+    /// [`super::Engine::snapshot`] or [`SharedEngine::snapshot`]) with
+    /// default budgets and shard count. Entries are routed to their home shards by
     /// signature, so the shard count need not match the snapshotting front.
     pub fn restore(value: &Value) -> Result<SharedEngine, EngineError> {
         SharedEngine::restore_with_config(value, EngineConfig::default(), default_shards())
@@ -626,8 +533,8 @@ impl SharedEngine {
             .map(|sig| front.shard_of(sig))
             .collect();
         for (i, shard) in front.shards.iter().enumerate() {
-            let per_shard_config = shard.read().config();
-            let restored = Engine::restore_filtered(value, per_shard_config, &|idx| {
+            let per_shard_config = shard.read().config;
+            let restored = Shard::restore_filtered(value, per_shard_config, &|idx| {
                 routing.get(idx) == Some(&i)
             })?;
             *shard.write() = restored;
@@ -643,11 +550,31 @@ impl SharedEngine {
     }
 }
 
-/// Best-effort per-kind counter bump: an out-of-range kind drops the count
-/// rather than panicking a query that already has its answer.
-fn bump(counters: &[AtomicU64], kind: usize) {
-    if let Some(c) = counters.get(kind) {
-        c.fetch_add(1, Ordering::Relaxed);
+/// How a batch resolved one of its distinct literal queries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// Answered by the read pass from a resident artifact.
+    Hit,
+    /// The first unanswered literal of its cache-canonical form: computed
+    /// and installed.
+    Computes,
+    /// A permuted-axes twin of the computing literal at this index: answered
+    /// from that literal's fresh surface.
+    Twin(usize),
+}
+
+/// Fills the answer slot of every twin of the computing literal `rep`.
+fn answer_twins(
+    literals: &[&Query],
+    roles: &[Role],
+    answers: &mut [Option<Result<AnalysisResult, EngineError>>],
+    rep: usize,
+    answer: impl Fn(&Query) -> Result<AnalysisResult, EngineError>,
+) {
+    for ((q, role), slot) in literals.iter().zip(roles).zip(answers) {
+        if *role == Role::Twin(rep) {
+            *slot = Some(answer(q));
+        }
     }
 }
 
@@ -662,7 +589,7 @@ fn hash_u64<T: Hash + ?Sized>(value: &T) -> u64 {
 
 /// Hash of one declaration order of a canonical nest: the identity the
 /// orientation-keyed caches (typed results, surfaces) miss across until a
-/// write-lock pass has interned this orientation.
+/// write pass has interned this orientation.
 fn orientation_hash(sig_hash: u64, canon: &CanonicalNest) -> u64 {
     hash_u64(&(
         sig_hash,

@@ -1,5 +1,6 @@
-//! Session persistence: serializing an [`Engine`]'s result caches through
-//! the workspace serde layer so a service warm-starts from disk.
+//! Session persistence: serializing the result caches of every shard of a
+//! [`super::SharedEngine`] (and so of an [`super::Engine`]) through the
+//! workspace serde layer so a service warm-starts from disk.
 //!
 //! # Format
 //!
@@ -18,9 +19,11 @@
 //!
 //! Artifact lists are ordered least- to most-recently-used, and restore
 //! re-inserts in that order, so the restored session's eviction behaviour
-//! matches the snapshotted one. Only *results* are persisted — warm solver
-//! state (the per-orientation `HblFamily`, the pooled simplex contexts) is
-//! rebuilt lazily, and surface summaries are recomputed from their surfaces.
+//! matches the snapshotted one. Only *results* are persisted — the pooled
+//! simplex contexts are rebuilt lazily, and surface summaries are recomputed
+//! from their surfaces. The `betas` list is written from the β cache, which
+//! nothing computes into, so it is empty unless a restored snapshot filled
+//! it; restore still reads and checks it.
 //!
 //! # Versioning caveats
 //!
@@ -36,10 +39,9 @@
 //! cache sizes no valid session can produce) so a restored cache can never
 //! panic a worker that consumes it (pinned by `tests/snapshot_hostile.rs`).
 
-use serde::{json, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 use projtile_arith::Rational;
-use projtile_loopnest::canon::permute_nest;
 use projtile_loopnest::{canonicalize, LoopNest};
 use projtile_lp::parametric::ValueFunction;
 
@@ -47,7 +49,8 @@ use super::cache::{
     cost, BetaKey, CachedResult, NestEntry, Orientation, PointSlice, ResultKey, ResultKind,
     SliceEntry, SliceKey, SliceKind, StoredSurface, SurfaceKey,
 };
-use super::{summarize_surface, Engine, EngineConfig, EngineError};
+use super::shard::Shard;
+use super::{summarize_surface, EngineConfig, EngineError};
 use crate::parametric::ExponentSurface;
 
 /// Current snapshot format version; restore rejects any other value.
@@ -94,7 +97,7 @@ fn de<T: Deserialize>(context: &str, v: &Value) -> Result<T, EngineError> {
 }
 
 /// Deserializes an artifact's cache size and rejects values below 2 words —
-/// no session can produce them ([`super::Engine::validate_query`] refuses
+/// no session can produce them ([`super::validate_query`] refuses
 /// such queries), and downstream consumers (`log::beta`) assert `m >= 2`.
 fn artifact_m(v: &Value, context: &str) -> Result<u64, EngineError> {
     let m: u64 = de(context, v)?;
@@ -131,6 +134,16 @@ fn is_permutation(perm: &[usize], len: usize) -> bool {
     true
 }
 
+/// A kept snapshot entry: its local id and the shape its artifacts are
+/// checked against.
+#[derive(Clone, Copy)]
+struct Kept {
+    e: usize,
+    loops: usize,
+    arrays: usize,
+    orientations: usize,
+}
+
 fn kind_tag(kind: ResultKind) -> &'static str {
     match kind {
         ResultKind::Bound => "bound",
@@ -141,58 +154,7 @@ fn kind_tag(kind: ResultKind) -> &'static str {
     }
 }
 
-impl Engine {
-    /// Serializes the session's result caches as a [`Value`] tree — one
-    /// versioned JSON object holding the interned nests, β vectors, typed
-    /// results, slices, and surfaces, each list in least- to
-    /// most-recently-used order (see `engine/snapshot.rs` for the full
-    /// format and its versioning caveats, mirrored in ARCHITECTURE.md).
-    /// Takes `&mut self` only to fold pending shared-path recency stamps
-    /// into the persisted order; no cached artifact is modified.
-    pub fn snapshot(&mut self) -> Value {
-        let (entries, betas, results, slices, surfaces) = self.snapshot_parts(0);
-        obj(vec![
-            ("version", Value::Int(SNAPSHOT_VERSION as i128)),
-            ("entries", Value::Array(entries)),
-            ("betas", Value::Array(betas)),
-            ("results", Value::Array(results)),
-            ("slices", Value::Array(slices)),
-            ("surfaces", Value::Array(surfaces)),
-        ])
-    }
-
-    /// [`Engine::snapshot`] printed as compact JSON.
-    pub fn snapshot_json(&mut self) -> String {
-        json::to_string(&self.snapshot())
-    }
-
-    /// Restores a session from a snapshot [`Value`], with default cache
-    /// budgets. The restored session answers every persisted query from
-    /// cache, bitwise-identically to the session that produced the snapshot.
-    pub fn restore(value: &Value) -> Result<Engine, EngineError> {
-        Engine::restore_with_config(value, EngineConfig::default())
-    }
-
-    /// [`Engine::restore`] with explicit cache budgets (restoring into
-    /// smaller budgets evicts least recently used artifacts immediately).
-    pub fn restore_with_config(value: &Value, config: EngineConfig) -> Result<Engine, EngineError> {
-        Engine::restore_filtered(value, config, &|_| true)
-    }
-
-    /// Restores a session from snapshot JSON text.
-    pub fn restore_json(text: &str) -> Result<Engine, EngineError> {
-        Engine::restore_json_with_config(text, EngineConfig::default())
-    }
-
-    /// [`Engine::restore_json`] with explicit cache budgets.
-    pub fn restore_json_with_config(
-        text: &str,
-        config: EngineConfig,
-    ) -> Result<Engine, EngineError> {
-        let value = json::parse(text).map_err(|e| snap_err("snapshot JSON", e))?;
-        Engine::restore_with_config(&value, config)
-    }
-
+impl Shard {
     /// The snapshot body lists, with every entry index shifted by
     /// `entry_offset` — the building block [`super::SharedEngine`] uses to
     /// merge its shards into one document.
@@ -307,17 +269,18 @@ impl Engine {
         value: &Value,
         config: EngineConfig,
         keep: &dyn Fn(usize) -> bool,
-    ) -> Result<Engine, EngineError> {
+    ) -> Result<Shard, EngineError> {
         let version: i64 = de("snapshot version", field(value, "version")?)?;
         if version != SNAPSHOT_VERSION {
             return Err(EngineError::Snapshot(format!(
                 "unsupported snapshot version {version} (this build reads version {SNAPSHOT_VERSION})"
             )));
         }
-        let mut engine = Engine::with_config(config);
+        let mut shard = Shard::new(config);
 
-        // Interned nests and their orientations.
-        let mut remap: Vec<Option<usize>> = Vec::new();
+        // Interned nests and their orientations; `remap` maps a snapshot
+        // entry index to the kept entry's local id and shape.
+        let mut remap: Vec<Option<Kept>> = Vec::new();
         for (idx, ev) in as_array(field(value, "entries")?, "entries")?
             .iter()
             .enumerate()
@@ -345,30 +308,32 @@ impl Engine {
                         "snapshot orientation permutations are invalid".into(),
                     ));
                 }
-                let nest = permute_nest(&canonical, &loop_perm, &array_perm);
                 orientations.push(Orientation {
                     loop_perm,
                     array_perm,
-                    nest,
-                    hbl_family: None,
                 });
             }
-            let e = engine.entries.len();
-            engine.entries.push(NestEntry {
+            let e = shard.entries.len();
+            let kept = Kept {
+                e,
+                loops: d,
+                arrays: n,
+                orientations: orientations.len(),
+            };
+            shard.entries.push(NestEntry {
                 canonical,
                 orientations,
             });
-            if engine.index.insert(sig, e).is_some() {
+            if shard.index.insert(sig, e).is_some() {
                 return Err(EngineError::Snapshot(
                     "snapshot contains duplicate canonical entries".into(),
                 ));
             }
-            engine.stats.interned += 1;
-            remap.push(Some(e));
+            remap.push(Some(kept));
         }
 
-        // Resolves a snapshot entry index to a kept local index.
-        let resolve = |v: &Value| -> Result<Option<usize>, EngineError> {
+        // Resolves a snapshot entry index to a kept entry.
+        let resolve = |v: &Value| -> Result<Option<Kept>, EngineError> {
             let raw: usize = de("artifact entry index", v)?;
             match remap.get(raw) {
                 Some(mapped) => Ok(*mapped),
@@ -380,26 +345,32 @@ impl Engine {
         };
 
         for bv in as_array(field(value, "betas")?, "betas")? {
-            let Some(e) = resolve(field(bv, "entry")?)? else {
+            let Some(Kept { e, loops, .. }) = resolve(field(bv, "entry")?)? else {
                 continue;
             };
             let m = artifact_m(field(bv, "m")?, "beta cache size")?;
             let v: Vec<Rational> = de("beta vector", field(bv, "value")?)?;
-            if v.len() != engine.entry(e).canonical.num_loops() {
+            if v.len() != loops {
                 return Err(EngineError::Snapshot(
                     "beta vector length does not match its nest".into(),
                 ));
             }
             let c = cost::betas(&v);
-            engine.betas.insert(BetaKey { entry: e, m }, v, c);
+            shard.betas.insert(BetaKey { entry: e, m }, v, c);
         }
 
         for rv in as_array(field(value, "results")?, "results")? {
-            let Some(e) = resolve(field(rv, "entry")?)? else {
+            let Some(Kept {
+                e,
+                loops: d,
+                arrays: n,
+                orientations,
+            }) = resolve(field(rv, "entry")?)?
+            else {
                 continue;
             };
             let o: usize = de("result orientation", field(rv, "orientation")?)?;
-            if o >= engine.entry(e).orientations.len() {
+            if o >= orientations {
                 return Err(EngineError::Snapshot(
                     "result references an orientation the snapshot does not declare".into(),
                 ));
@@ -439,8 +410,6 @@ impl Engine {
             // in the certificate re-check (`exponent_from_s_hat_with_betas`
             // indexes β by witness member, `is_feasible` by array) the first
             // time the cached artifact is consumed.
-            let d = engine.entry(e).canonical.num_loops();
-            let n = engine.entry(e).canonical.num_arrays();
             let in_range = |s: projtile_loopnest::IndexSet| s.iter().all(|j| j < d);
             match &cached {
                 CachedResult::Bound(lb) => {
@@ -489,16 +458,16 @@ impl Engine {
                 kind,
             };
             let c = cost::result(&cached);
-            engine.results.insert(key, cached, c);
+            shard.results.insert(key, cached, c);
         }
 
         for sv in as_array(field(value, "slices")?, "slices")? {
-            let Some(e) = resolve(field(sv, "entry")?)? else {
+            let Some(Kept { e, loops, .. }) = resolve(field(sv, "entry")?)? else {
                 continue;
             };
             let m = artifact_m(field(sv, "m")?, "slice cache size")?;
             let axis: usize = de("slice axis", field(sv, "axis")?)?;
-            if axis >= engine.entry(e).canonical.num_loops() {
+            if axis >= loops {
                 return Err(EngineError::Snapshot(
                     "slice axis out of range for its nest".into(),
                 ));
@@ -569,15 +538,21 @@ impl Engine {
                 kind,
             };
             let c = cost::slice_entry(&entry);
-            engine.slices.insert(key, entry, c);
+            shard.slices.insert(key, entry, c);
         }
 
         for sv in as_array(field(value, "surfaces")?, "surfaces")? {
-            let Some(e) = resolve(field(sv, "entry")?)? else {
+            let Some(Kept {
+                e,
+                loops: d,
+                orientations,
+                ..
+            }) = resolve(field(sv, "entry")?)?
+            else {
                 continue;
             };
             let o: usize = de("surface orientation", field(sv, "orientation")?)?;
-            if o >= engine.entry(e).orientations.len() {
+            if o >= orientations {
                 return Err(EngineError::Snapshot(
                     "surface references an orientation the snapshot does not declare".into(),
                 ));
@@ -592,7 +567,6 @@ impl Engine {
                 return Err(EngineError::Snapshot(format!("exponent surface: {msg}")));
             }
             let axes = surface.axes().to_vec();
-            let d = engine.entry(e).canonical.num_loops();
             let sorted = axes.iter().zip(axes.iter().skip(1)).all(|(a, b)| a < b);
             if axes.is_empty() || !sorted || axes.iter().any(|&a| a >= d) {
                 return Err(EngineError::Snapshot(
@@ -628,9 +602,9 @@ impl Engine {
             };
             let stored = StoredSurface { surface, summary };
             let c = cost::surface(&stored);
-            engine.surfaces.insert(key, stored, c);
+            shard.surfaces.insert(key, stored, c);
         }
 
-        Ok(engine)
+        Ok(shard)
     }
 }

@@ -54,11 +54,11 @@ pub mod outcome {
     /// the front counts it neither as a hit nor as a miss.
     pub const DUPLICATE: u8 = 2;
     /// A miss whose computation failed: counted as a miss, but nothing was
-    /// installed (the batch still interned the nest's orientation).
+    /// installed (the call still interned the nest's orientation).
     pub const FAILED: u8 = 3;
-    /// A miss whose computation failed in a single `analyze` call: counted
-    /// as a miss, nothing installed, and the orientation was *not*
-    /// interned (the error returned before the write lock).
+    /// A failed miss that did *not* intern the orientation. Only older
+    /// builds record it (their single-query `analyze` returned before the
+    /// write lock); it is still parsed and replayed.
     pub const FAILED_NO_INTERN: u8 = 4;
 }
 

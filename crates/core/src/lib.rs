@@ -65,24 +65,28 @@ pub use tightness::{
 pub use tiling::{CommunicationModel, Tiling};
 pub use tiling_lp::{optimal_tiling, solve_tiling_lp, tiling_lp, TilingSolution};
 
-use std::cell::RefCell;
-
 /// A loop nest paired with the fast-memory (cache) size it is analyzed
 /// against.
 ///
-/// Since PR 4 the instance routes every method through an internal
-/// [`engine::Engine`] session, so repeated calls on the same instance reuse
-/// shared artifacts and memoized results instead of recomputing (a second
-/// `check_tightness()` is a pure lookup). Answers are bitwise-identical to
-/// the stateless free functions in the submodules, which remain available
-/// for one-shot use and as the engine's differential oracles.
+/// The instance routes every method through an internal one-shard
+/// [`engine::SharedEngine`] session (queried through `&self`), so repeated
+/// calls on the same instance reuse shared artifacts and memoized results
+/// instead of recomputing (a second `check_tightness()` is a pure lookup).
+/// Answers are bitwise-identical to the stateless free functions in the
+/// submodules, which remain available for one-shot use and as the engine's
+/// differential oracles.
 #[derive(Debug)]
 pub struct ProblemInstance {
     /// The projective loop nest under analysis.
     pub nest: projtile_loopnest::LoopNest,
     /// Fast-memory capacity `M`, in words.
     pub cache_size: u64,
-    session: RefCell<engine::Engine>,
+    session: engine::SharedEngine,
+}
+
+/// A fresh single-shard session for one instance.
+fn session() -> engine::SharedEngine {
+    engine::SharedEngine::with_config(engine::EngineConfig::default(), 1)
 }
 
 impl Clone for ProblemInstance {
@@ -92,7 +96,7 @@ impl Clone for ProblemInstance {
         ProblemInstance {
             nest: self.nest.clone(),
             cache_size: self.cache_size,
-            session: RefCell::new(engine::Engine::new()),
+            session: session(),
         }
     }
 }
@@ -107,13 +111,12 @@ impl ProblemInstance {
         ProblemInstance {
             nest,
             cache_size,
-            session: RefCell::new(engine::Engine::new()),
+            session: session(),
         }
     }
 
     fn query(&self, query: engine::Query) -> engine::AnalysisResult {
         self.session
-            .borrow_mut()
             .analyze(&self.nest, &query)
             .expect("instance queries are validated at construction")
     }
@@ -167,7 +170,7 @@ impl ProblemInstance {
     /// Session counters of the instance's internal engine (hits witness the
     /// cross-call reuse).
     pub fn session_stats(&self) -> engine::EngineStats {
-        self.session.borrow().stats()
+        self.session.stats()
     }
 }
 

@@ -2,7 +2,9 @@
 //! bitwise-identical to the retained stateless free functions (the cold
 //! oracles), including across nest permutations, repeat queries, and batches.
 
-use projtile_core::engine::{AnalysisResult, Engine, EngineError, Query};
+use projtile_core::engine::{
+    AnalysisResult, Engine, EngineConfig, EngineError, Query, SharedEngine,
+};
 use projtile_core::{bounds, parametric, tightness, tiling_lp};
 use projtile_loopnest::canon::permute_nest;
 use projtile_loopnest::{builders, LoopNest};
@@ -338,6 +340,38 @@ fn slices_are_shared_across_permuted_variants() {
     } else {
         panic!("slice query answered with {second:?}");
     }
+}
+
+#[test]
+fn shared_front_slices_are_shared_across_permuted_variants() {
+    // The serving front agrees: the permuted declaration's slice is a hit
+    // even though that orientation was never interned, and no second
+    // slice entry is computed.
+    let nest = builders::matmul(1 << 8, 1 << 8, 1 << 8);
+    let permuted = permute_nest(&nest, &[2, 0, 1], &[1, 2, 0]);
+    let m = 1u64 << 10;
+    let slice = |n: &LoopNest| Query::Slice {
+        cache_size: m,
+        axis: n.index_position("k").unwrap(),
+        lo_bound: 1,
+        hi_bound: m,
+    };
+    let shared = SharedEngine::with_config(EngineConfig::default(), 2);
+    let first = shared.analyze(&nest, &slice(&nest)).unwrap();
+    let second = shared.analyze(&permuted, &slice(&permuted)).unwrap();
+    assert_eq!(first, second);
+    let stats = shared.stats();
+    assert_eq!((stats.hits, stats.misses), (1, 1), "second slice hit");
+    assert_eq!(shared.cache_metrics().slices.entries, 1);
+    let oracle = parametric::exponent_vs_beta_cold(
+        &permuted,
+        m,
+        permuted.index_position("k").unwrap(),
+        1,
+        m,
+    )
+    .unwrap();
+    assert_eq!(second, AnalysisResult::Slice(oracle));
 }
 
 #[test]

@@ -374,6 +374,52 @@ fn permuted_surface_twins_in_one_batch_compute_once() {
 }
 
 #[test]
+fn surface_twins_answer_from_the_fresh_surface_under_a_one_surface_budget() {
+    // Two different surfaces plus a permuted twin of the first, in one
+    // batch, under a surface budget that holds only one of them: installing
+    // the second evicts the first, yet the twin is still answered (from the
+    // first surface as computed, not from the cache) with no recompute.
+    let nest = builders::matmul(1 << 6, 1 << 6, 1 << 6);
+    let m = 1u64 << 8;
+    let first = Query::Surface {
+        cache_size: m,
+        axes: vec![0, 2],
+        lo_bounds: vec![1, 2],
+        hi_bounds: vec![m, m / 2],
+    };
+    let second = Query::Surface {
+        cache_size: m,
+        axes: vec![1],
+        lo_bounds: vec![1],
+        hi_bounds: vec![m],
+    };
+    let twin = Query::Surface {
+        cache_size: m,
+        axes: vec![2, 0],
+        lo_bounds: vec![2, 1],
+        hi_bounds: vec![m / 2, m],
+    };
+    let queries = vec![first, second, twin];
+    let shared = SharedEngine::with_config(
+        EngineConfig {
+            surfaces_capacity: 1,
+            ..EngineConfig::default()
+        },
+        1,
+    );
+    let answers = shared.analyze_batch(&nest, &queries);
+    for (q, r) in queries.iter().zip(&answers) {
+        let r = r.as_ref().expect("valid query");
+        assert_eq!(r, &projtile_core::engine::cold_answer(&nest, q).unwrap());
+        assert_matches_oracle(&nest, q, r);
+    }
+    let stats = shared.stats();
+    assert_eq!(stats.misses, 2, "two distinct surfaces computed: {stats:?}");
+    assert_eq!(stats.hits, 1, "the twin counts as a hit: {stats:?}");
+    assert_eq!(shared.cache_metrics().surfaces.entries, 1);
+}
+
+#[test]
 fn shared_tightness_recomposes_under_the_read_lock() {
     // After the report is evicted but its components survive, the shared
     // front answers tightness as a read-path *hit* (recomposition is pure
@@ -475,13 +521,14 @@ fn evicted_tightness_recomposes_from_surviving_components() {
         .unwrap();
     assert!(engine.cache_metrics().results.evictions > 0);
 
-    let misses_before = engine.stats().misses;
+    let before = engine.stats();
     let again = engine.analyze(&nest, &q).unwrap();
     assert_eq!(first, again);
+    let after = engine.stats();
     assert_eq!(
-        engine.stats().misses,
-        misses_before + 1,
-        "the evicted report must recompose (a miss), not answer stale"
+        (after.hits, after.misses),
+        (before.hits + 1, before.misses),
+        "the evicted report recomposes from its components (a read-path hit)"
     );
     assert_eq!(
         again,

@@ -7,15 +7,15 @@
 //!
 //! * events are regrouped by their `batch` id (one group per live
 //!   `analyze`/`analyze_batch` call, contiguous in append order);
-//! * each group runs the live phases in order: a **probe pass** (peeks in
-//!   input order, skipping literals already found cached, with the tightness
+//! * each group runs the live phases in order: a **probe pass** (one peek
+//!   per distinct literal in first-occurrence order, with the tightness
 //!   recompose path touching component artifacts as it short-circuits), a
 //!   **classification** (first uncached occurrence per cache-canonical
 //!   family is the computing miss; repeated literals of it are duplicates;
-//!   distinct literals of it are canonical twins answered as hits), an
-//!   **orientation intern**, an **install pass** in pending order charging
-//!   the recorded per-entry costs, and the **twin answer pass** touching the
-//!   shared entry per twin occurrence;
+//!   distinct literals of it are canonical twins answered as hits from the
+//!   fresh result, touching no cache), an **intern** of the signature and
+//!   orientation, and an **install pass** in pending order charging the
+//!   recorded per-entry costs;
 //! * the simulated shard is the recorded routing key modulo the shard
 //!   count, so cross-shard isolation is reproduced too.
 //!
@@ -244,6 +244,10 @@ impl fmt::Display for ReplayError {
 impl std::error::Error for ReplayError {}
 
 struct Shard {
+    /// Interned signature hashes (slices are keyed by signature).
+    signatures: HashSet<u64>,
+    /// Interned orientation hashes (every other family is keyed by
+    /// orientation).
     interned: HashSet<u64>,
     results: Box<dyn PolicyCache>,
     slices: Box<dyn PolicyCache>,
@@ -275,7 +279,17 @@ fn primary_key(ev: &TraceEvent) -> SimKey {
 /// The live peek path for one event: touch on success; the tightness
 /// recompose path touches each component it finds, short-circuiting at the
 /// first absence (an overall miss can still refresh some components).
+/// Slices need only the signature interned, every other kind the
+/// orientation.
 fn probe(shard: &mut Shard, ev: &TraceEvent) -> bool {
+    let interned = if ev.kind == 5 {
+        shard.signatures.contains(&ev.sig)
+    } else {
+        shard.interned.contains(&ev.orient)
+    };
+    if !interned {
+        return false;
+    }
     match ev.kind {
         3 => {
             if shard.results.touch(key(ev.fam, tag::REPORT)) {
@@ -328,6 +342,7 @@ pub fn replay_document(doc: &TraceDocument, policy: PolicyKind, budgets: Budgets
     let num_shards = (doc.num_shards as u64).max(1);
     let mut shards: Vec<Shard> = (0..num_shards)
         .map(|_| Shard {
+            signatures: HashSet::new(),
             interned: HashSet::new(),
             results: policy.build(budgets.results),
             slices: policy.build(budgets.slices),
@@ -391,29 +406,19 @@ pub fn replay_document(doc: &TraceDocument, policy: PolicyKind, budgets: Budgets
 
         let shard = &mut shards[(batch[0].sig % num_shards) as usize];
 
-        // Probe pass: peeks in input order; literals already found cached
-        // this batch are not re-peeked, while occurrences of missing
-        // queries re-probe every time (partial tightness touches included).
-        let mut hit_lhash: HashSet<u64> = HashSet::new();
-        let mut found = Vec::with_capacity(batch.len());
-        for ev in batch {
-            if hit_lhash.contains(&ev.lhash) {
-                found.push(true);
-                continue;
-            }
-            let f = shard.interned.contains(&ev.orient) && probe(shard, ev);
-            if f {
-                hit_lhash.insert(ev.lhash);
-            }
-            found.push(f);
-        }
+        // Probe pass: one peek per distinct literal, at its first
+        // occurrence (partial tightness touches included); repeats reuse it.
+        let mut probed: HashMap<u64, bool> = HashMap::new();
+        let found: Vec<bool> = batch
+            .iter()
+            .map(|ev| *probed.entry(ev.lhash).or_insert_with(|| probe(shard, ev)))
+            .collect();
 
         // Classification: first uncached occurrence per cache-canonical
         // family computes; its literal repeats are duplicates; its distinct
         // literals (permuted-axes surface twins) are hits answered by remap.
         let mut first: HashMap<(u8, u64), u64> = HashMap::new();
         let mut classes = Vec::with_capacity(batch.len());
-        let mut twins: Vec<usize> = Vec::new();
         for (i, ev) in batch.iter().enumerate() {
             let class = if found[i] {
                 EventClass::Hit
@@ -424,22 +429,21 @@ pub fn replay_document(doc: &TraceDocument, policy: PolicyKind, budgets: Budgets
                         EventClass::Miss
                     }
                     Some(&rep) if rep == ev.lhash => EventClass::Duplicate,
-                    Some(_) => {
-                        twins.push(i);
-                        EventClass::Hit
-                    }
+                    Some(_) => EventClass::Hit,
                 }
             };
             classes.push(class);
         }
 
-        // Orientation intern: every live call that reached its write-lock
-        // pass interned (idempotently); only a single-query computation
-        // failure returns before interning.
+        // Intern: a live call skips its write pass only when its
+        // orientation is already interned, so every call leaves signature
+        // and orientation interned — except in traces from older builds,
+        // whose single-query failures returned before interning.
         if batch
             .iter()
             .any(|ev| ev.outcome != outcome::FAILED_NO_INTERN)
         {
+            shard.signatures.insert(batch[0].sig);
             shard.interned.insert(batch[0].orient);
         }
 
@@ -461,13 +465,6 @@ pub fn replay_document(doc: &TraceDocument, policy: PolicyKind, budgets: Budgets
                     None => report.unpriced_installs += 1,
                 },
             }
-        }
-
-        // Twin answer pass: each twin occurrence re-reads the shared entry
-        // under the write lock (a recency touch), in input order.
-        for &i in &twins {
-            let ev = &batch[i];
-            shard.family(ev.kind).touch(primary_key(ev));
         }
 
         // Accounting and recording comparison.

@@ -12,7 +12,8 @@ use projtile_core::engine::{
 };
 use projtile_lab::replay::{check_live, replay_document, Budgets, ReplayError};
 use projtile_lab::{GeneratorConfig, LabReport, Pattern, PolicyKind, Workload};
-use projtile_loopnest::builders;
+use projtile_loopnest::canon::permute_nest;
+use projtile_loopnest::{builders, LoopNest};
 
 /// Budgets tiny enough that nearly every insertion evicts something, so the
 /// differential exercises the eviction order, not just residency.
@@ -131,6 +132,46 @@ fn handcrafted_awkward_batches_replay_exactly() {
         doc.events.len() < stats.queries as usize,
         "invalid queries never become events"
     );
+}
+
+/// A slice asked for a permuted declaration of a nest is served from the
+/// slice the first declaration computed (slices are keyed by signature),
+/// before that declaration's orientation is interned — on a 2-shard front,
+/// and the replay agrees event for event.
+#[test]
+fn permuted_slice_hits_replay_exactly_on_two_shards() {
+    let m = 1 << 10;
+    let nest = builders::matmul(1 << 8, 1 << 8, 1 << 8);
+    let permuted = permute_nest(&nest, &[2, 0, 1], &[1, 2, 0]);
+    let slice = |n: &LoopNest| Query::Slice {
+        cache_size: m,
+        axis: n.index_position("k").expect("matmul has k"),
+        lo_bound: 1,
+        hi_bound: m,
+    };
+    let mut front = SharedEngine::with_config(tiny_config(), 2);
+    front.set_trace_capacity(1 << 10);
+    front.analyze(&nest, &slice(&nest)).expect("slice computes");
+    front
+        .analyze(&permuted, &slice(&permuted))
+        .expect("permuted slice answers");
+    // The permuted orientation is now interned: its typed results miss...
+    front
+        .analyze(&permuted, &Query::LowerBound { cache_size: m })
+        .expect("bound computes");
+    // ...and its slice keeps hitting.
+    front
+        .analyze(&permuted, &slice(&permuted))
+        .expect("permuted slice answers");
+
+    let doc = front.trace_document();
+    let outcomes: Vec<u8> = doc.events.iter().map(|ev| ev.outcome).collect();
+    assert_eq!(
+        outcomes,
+        vec![outcome::MISS, outcome::HIT, outcome::MISS, outcome::HIT]
+    );
+    let report = check_live(&doc).unwrap_or_else(|e| panic!("permuted slices: {e}"));
+    assert_eq!((report.sim_hits, report.sim_misses), (2, 2));
 }
 
 /// Failed computations can't be provoked through the public API (validation

@@ -14,13 +14,13 @@
 //! `projtile_service::RetryConfig` for the policy. `--seed N` pins the
 //! jitter stream so a drill's backoff schedule replays exactly. `verify`
 //! asks the server a mixed batch about the paper's matmul nest and
-//! insists each answer is bitwise-identical to a cold local engine — the
-//! same oracle the integration suite uses, runnable against a live
-//! deployment.
+//! insists each answer is bitwise-identical to the cold free functions
+//! (`projtile_core::engine::cold_answer`) — the same oracle the
+//! integration suite uses, runnable against a live deployment.
 
 use std::io::Read;
 
-use projtile_core::engine::{Engine, Query};
+use projtile_core::engine::{cold_answer, Query};
 use projtile_loopnest::{builders, LoopNest};
 use projtile_service::{Client, RetryConfig};
 use serde::{json, Deserialize, Serialize, Value};
@@ -119,8 +119,8 @@ fn print_results(results: &[Result<projtile_core::engine::AnalysisResult, String
     );
 }
 
-/// Asks the server a mixed batch and checks every answer bitwise against a
-/// cold local engine. Returns the number of answers checked.
+/// Asks the server a mixed batch and checks every answer bitwise against the
+/// cold free functions. Returns the number of answers checked.
 fn verify(client: &Client) -> Result<usize, String> {
     let nest = builders::matmul(64, 64, 64);
     let m = 1u64 << 8;
@@ -146,13 +146,11 @@ fn verify(client: &Client) -> Result<usize, String> {
             served.len()
         ));
     }
-    let mut oracle = Engine::new();
     for (i, (query, answer)) in queries.iter().zip(&served).enumerate() {
         let answer = answer
             .as_ref()
             .map_err(|msg| format!("query {i} answered with an error: {msg}"))?;
-        let expected = oracle
-            .analyze(&nest, query)
+        let expected = cold_answer(&nest, query)
             .map_err(|e| format!("local oracle failed on query {i}: {e}"))?;
         let served_json = json::to_string(&answer.serialize());
         let expected_json = json::to_string(&expected.serialize());

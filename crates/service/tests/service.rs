@@ -8,7 +8,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use projtile_core::engine::{Engine, Query, SharedEngine, SnapshotStore};
+use projtile_core::engine::{cold_answer, Query, SharedEngine, SnapshotStore};
 use projtile_loopnest::builders;
 use projtile_service::http::{read_response, Response};
 use projtile_service::{Client, FaultPlan, Server, ServerConfig, ServerHandle};
@@ -81,12 +81,11 @@ fn served_answers_are_bitwise_equal_to_cold_oracles() {
         for pass in 0..2 {
             let served = client.analyze(&nest, &queries).expect("analyze");
             assert_eq!(served.len(), queries.len());
-            let mut oracle = Engine::new();
             for (i, (query, answer)) in queries.iter().zip(&served).enumerate() {
                 let answer = answer.as_ref().unwrap_or_else(|e| {
                     panic!("pass {pass}, query {i} answered with an error: {e}")
                 });
-                let expected = oracle.analyze(&nest, query).expect("oracle");
+                let expected = cold_answer(&nest, query).expect("oracle");
                 assert_eq!(
                     json::to_string(&answer.serialize()),
                     json::to_string(&expected.serialize()),
@@ -256,13 +255,7 @@ fn worker_panics_answer_500_and_leave_the_engine_consistent() {
     let nest = builders::matmul(32, 32, 32);
     let queries = vec![Query::Tightness { cache_size: 256 }];
 
-    let mut oracle = Engine::new();
-    let expected = json::to_string(
-        &oracle
-            .analyze(&nest, &queries[0])
-            .expect("oracle")
-            .serialize(),
-    );
+    let expected = json::to_string(&cold_answer(&nest, &queries[0]).expect("oracle").serialize());
 
     let mut five_hundreds = 0;
     let mut successes = 0;
@@ -351,10 +344,9 @@ fn snapshot_lifecycle_survives_torn_writes_and_restores_on_restart() {
     let handle = start(config, FaultPlan::default());
     let client = Client::new(handle.addr().to_string());
     let served = client.analyze(&nest, &queries).expect("restored analyze");
-    let mut oracle = Engine::new();
     for (i, (query, answer)) in queries.iter().zip(&served).enumerate() {
         let answer = answer.as_ref().expect("restored answers are whole");
-        let expected = oracle.analyze(&nest, query).expect("oracle");
+        let expected = cold_answer(&nest, query).expect("oracle");
         assert_eq!(
             json::to_string(&answer.serialize()),
             json::to_string(&expected.serialize()),

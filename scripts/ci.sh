@@ -29,6 +29,9 @@ done
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> cargo build --release (benchmark/: its own workspace, not a default member)"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo test -q -p projtile-lint (the linter's own suite gates first)"
 cargo test -q -p projtile-lint
 
@@ -100,7 +103,7 @@ if [ "$service_smoke" = 1 ]; then
 
     # Stage 1: clean server. Boot with a snapshot store AND a trace recorder
     # (PROJTILE_TRACE_CAPACITY), check health, run the bitwise oracle check
-    # (`verify` compares every served answer against a cold local Engine),
+    # (`verify` compares every served answer against the cold free functions),
     # then the cache-policy-lab drill: drive seeded generated load over HTTP,
     # drain the recorded trace via GET /trace, and replay it through the
     # exact-LRU simulator, which must reproduce the live hit/miss accounting

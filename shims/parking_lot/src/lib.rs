@@ -59,6 +59,12 @@ impl<T> RwLock<T> {
     pub fn into_inner(self) -> T {
         self.0.into_inner().unwrap_or_else(|e| e.into_inner())
     }
+
+    /// Returns a mutable reference to the protected value; the exclusive
+    /// borrow proves no guard is live, so no locking takes place.
+    pub fn get_mut(&mut self) -> &mut T {
+        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 #[cfg(test)]
