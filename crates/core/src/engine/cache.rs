@@ -16,10 +16,10 @@
 //!   recomposed from its surviving components without re-solving the
 //!   row-deleted HBL LP;
 //! * **§7 slices** ([`SliceKey`]) — per `(nest, cache size, canonical
-//!   axis)`, both explicit `[lo, hi]` sweeps ([`SliceKind::Span`]) and the
-//!   growing probe slices behind `exponent_at_bound`
-//!   ([`SliceKind::Probe`]); a slice carries no positional data, so permuted
-//!   variants share entries;
+//!   axis, lo, hi)`, one entry per `Query::Slice` sweep; the
+//!   `exponent_at_bound` probes are `[1, H]` slice queries and share these
+//!   entries. A slice carries no positional data, so permuted variants share
+//!   entries;
 //! * **surfaces** ([`SurfaceKey`]) — per `(nest, orientation, cache size,
 //!   sorted axes, box)`. Keys are canonicalized by sorting the swept axes
 //!   (the box permuted alongside), so the same surface requested with
@@ -89,40 +89,18 @@ pub(crate) enum CachedResult {
     Certificate(bool),
 }
 
-/// The two flavors of memoized 1-D value-function slices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum SliceKind {
-    /// An explicit `Query::Slice` sweep over `[lo_bound, hi_bound]`.
-    Span { lo_bound: u64, hi_bound: u64 },
-    /// The growing per-axis slice behind `exponent_at_bound`, covering
-    /// `1..=hi` for a stored `hi` that widens on demand.
-    Probe,
-}
-
-/// Key of a memoized slice, in canonical coordinates (slices carry no
-/// positional data, so permuted variants of a nest share entries).
+/// Key of a memoized slice: one `[lo_bound, hi_bound]` sweep along a
+/// canonical axis. Slices carry no positional data, so permuted variants of
+/// a nest share entries; `exponent_at_bound` probes read the same entries
+/// through `Query::Slice { lo_bound: 1, .. }`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct SliceKey {
     pub entry: usize,
     pub m: u64,
     /// Canonical loop position of the swept axis.
     pub canon_axis: usize,
-    pub kind: SliceKind,
-}
-
-/// A growing probe slice: covers bounds `1..=hi_bound` and is re-swept
-/// (wider) only when a queried bound exceeds the covered range.
-#[derive(Debug, Clone)]
-pub(crate) struct PointSlice {
+    pub lo_bound: u64,
     pub hi_bound: u64,
-    pub vf: ValueFunction,
-}
-
-/// A memoized slice entry; the variant matches its key's [`SliceKind`].
-#[derive(Debug, Clone)]
-pub(crate) enum SliceEntry {
-    Span(ValueFunction),
-    Probe(PointSlice),
 }
 
 /// Key of a memoized surface. `axes` is **sorted ascending** (the box
@@ -227,13 +205,6 @@ pub(crate) mod cost {
 
     pub(crate) fn value_function(vf: &ValueFunction) -> u64 {
         ENTRY + rationals(2 * vf.breakpoints.len())
-    }
-
-    pub(crate) fn slice_entry(s: &SliceEntry) -> u64 {
-        match s {
-            SliceEntry::Span(vf) => value_function(vf),
-            SliceEntry::Probe(ps) => 8 + value_function(&ps.vf),
-        }
     }
 
     pub(crate) fn surface(s: &StoredSurface) -> u64 {

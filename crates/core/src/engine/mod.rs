@@ -102,7 +102,7 @@ use crate::hbl::hbl_lp;
 use crate::parametric::{exponent_vs_beta_cold, exponent_vs_beta_with, ExponentSurface};
 use crate::tightness::{check_tightness, TightnessReport};
 use crate::tiling_lp::{solve_tiling_lp, tile_dims_from_lambda};
-use cache::{cost, PointSlice, SliceEntry, SliceKey, SliceKind, StoredSurface, SurfaceKey};
+use cache::{cost, StoredSurface, SurfaceKey};
 
 /// Retention budgets (approximate heap bytes) for the engine's memo caches.
 /// Each cap governs one artifact class across **all** interned nests;
@@ -118,8 +118,8 @@ pub struct EngineConfig {
     /// Budget for `β` vectors (only snapshots from older builds fill this
     /// cache; nothing computes into it).
     pub betas_capacity: u64,
-    /// Budget for §7 value-function slices (explicit sweeps and the growing
-    /// probe slices behind [`Engine::exponent_at_bound`]).
+    /// Budget for §7 value-function slices (`Query::Slice` sweeps, including
+    /// the `[1, H]` slices behind [`Engine::exponent_at_bound`]).
     pub slices_capacity: u64,
     /// Budget for memoized exponent surfaces (by far the largest artifacts).
     pub surfaces_capacity: u64,
@@ -150,8 +150,7 @@ pub struct CacheMetrics {
     /// The surface cache.
     pub surfaces: BoundedLruStats,
     /// Hit/miss counters per query kind, indexed like [`QUERY_KIND_NAMES`]
-    /// (`exponent_at_bound` probes count under the `slice` kind, whose
-    /// memo they share).
+    /// (`exponent_at_bound` probes are slice queries and count as such).
     pub kinds: [KindCounters; QUERY_KIND_COUNT],
 }
 
@@ -216,7 +215,7 @@ impl Engine {
     /// signature and share one cache entry.
     pub fn intern(&mut self, nest: &LoopNest) -> NestSignature {
         let canon = canonicalize(nest);
-        if let Some((shard, _)) = self.inner.sole_shard() {
+        if let Some(shard) = self.inner.sole_shard() {
             shard.intern_with(&canon);
         }
         canon.signature()
@@ -263,12 +262,15 @@ impl Engine {
     }
 
     /// The optimal exponent at one specific bound value along `axis` — the
-    /// memoized form of [`crate::parametric::exponent_at_bound`]. The first
-    /// query per `(cache size, axis)` sweeps a 1-D slice of the §7 value
-    /// function once; every later bound on that axis (a JIT probing candidate
-    /// specializations, say) is read off the slice without touching the
-    /// solver. Answers are bitwise-identical to the cold oracle
-    /// [`crate::parametric::exponent_at_bound_cold`].
+    /// memoized form of [`crate::parametric::exponent_at_bound`]. Resolved
+    /// by [`Engine::analyze`] as the slice query `[1, H]` on `axis`, where
+    /// `H` is the largest of `bound`, the nest's own bound on `axis` and the
+    /// cache size, rounded up to a power of two (kept as is where rounding
+    /// would overflow). The first probe of a bucket sweeps once; every later
+    /// bound in it (a JIT probing candidate specializations, say), and an
+    /// explicit `Query::Slice` of the same span, is read off the memoized
+    /// slice without touching the solver. Answers are bitwise-identical to
+    /// the cold oracle [`crate::parametric::exponent_at_bound_cold`].
     pub fn exponent_at_bound(
         &mut self,
         nest: &LoopNest,
@@ -276,75 +278,21 @@ impl Engine {
         axis: usize,
         bound: u64,
     ) -> Result<Rational, EngineError> {
-        self.inner.count_query();
-        if cache_size < 2 {
-            return Err(EngineError::InvalidQuery(
-                "cache size must be at least 2 words".into(),
-            ));
-        }
-        let canon = canonicalize(nest);
-        let Some(&canon_axis) = canon.loop_permutation().get(axis) else {
-            return Err(EngineError::InvalidQuery(format!(
-                "axis {axis} out of range for a {}-loop nest",
-                nest.num_loops()
-            )));
-        };
         if bound == 0 {
             return Err(EngineError::InvalidQuery("bound must be positive".into()));
         }
-        let (shard, pool) = self
-            .inner
-            .sole_shard()
-            .ok_or(EngineError::Internal("engine façade without its shard"))?;
-        let (e, _) = shard.intern_with(&canon);
-        let key = SliceKey {
-            entry: e,
-            m: cache_size,
-            canon_axis,
-            kind: SliceKind::Probe,
-        };
-        let (covered, prev) = match shard.slices.get(&key) {
-            Some(SliceEntry::Probe(ps)) => (ps.hi_bound >= bound, ps.hi_bound),
-            _ => (false, 1),
-        };
-        if !covered {
-            // Widen past the request (and past the nest's own bound) so a
-            // scan of nearby candidate bounds is answered by one sweep. Near
-            // the top of the u64 range the power-of-two rounding would
-            // overflow; sweep to the exact bound instead. Exclusive access
-            // to the sole shard means no lock guard is held while sweeping.
-            let nest_bound = canon.nest().bounds().get(canon_axis).copied();
-            let hi = bound.max(nest_bound.unwrap_or(1)).max(prev).max(cache_size);
-            let hi = hi.checked_next_power_of_two().unwrap_or(hi);
-            let vf = exponent_vs_beta_with(
-                canon.nest(),
-                cache_size,
-                canon_axis,
-                1,
-                hi,
-                &mut pool.checkout(),
-            )?;
-            let entry = SliceEntry::Probe(PointSlice { hi_bound: hi, vf });
-            let c = cost::slice_entry(&entry);
-            // The newest insertion is never evicted, so the read below is
-            // served even under a zero-cap configuration.
-            shard.slices.insert(key, entry, c);
-        }
-        let Some(SliceEntry::Probe(ps)) = shard.slices.peek(&key) else {
-            return Err(EngineError::Internal("probe slice missing after sweep"));
-        };
-        let value = ps
-            .vf
-            .value_at(&log::beta(bound as u128, cache_size as u128));
-        // Probe reads share the slice memo, so they count under `slice`.
-        let slice_kind = query_kind_index(&Query::Slice {
+        let nest_bound = nest.indices().get(axis).map_or(1, |index| index.bound);
+        let widest = bound.max(nest_bound).max(cache_size);
+        let query = Query::Slice {
             cache_size,
             axis,
-            lo_bound: bound,
-            hi_bound: bound,
-        });
-        self.inner.count(slice_kind, covered);
-        Ok(value)
+            lo_bound: 1,
+            hi_bound: widest.checked_next_power_of_two().unwrap_or(widest),
+        };
+        let AnalysisResult::Slice(vf) = self.analyze(nest, &query)? else {
+            return Err(EngineError::Internal("slice query answered another kind"));
+        };
+        Ok(vf.value_at(&log::beta(bound as u128, cache_size as u128)))
     }
 
     /// The full memoized [`ExponentSurface`] for a [`Query::Surface`]-shaped
@@ -371,7 +319,7 @@ impl Engine {
         // evicted).
         let canon = canonicalize(nest);
         let missing = EngineError::Internal("surface memo missing after its query");
-        let (shard, _) = self.inner.sole_shard().ok_or(missing.clone())?;
+        let shard = self.inner.sole_shard().ok_or(missing.clone())?;
         let Some((e, Some(o))) = shard.find(&canon) else {
             return Err(missing);
         };

@@ -13,10 +13,11 @@ use std::collections::HashMap;
 use projtile_arith::Rational;
 use projtile_cachesim::BoundedLru;
 use projtile_loopnest::{CanonicalNest, NestSignature};
+use projtile_lp::parametric::ValueFunction;
 
 use super::cache::{
-    cost, BetaKey, CachedResult, NestEntry, Orientation, ResultKey, ResultKind, SliceEntry,
-    SliceKey, SliceKind, StoredSurface, SurfaceKey,
+    cost, BetaKey, CachedResult, NestEntry, Orientation, ResultKey, ResultKind, SliceKey,
+    StoredSurface, SurfaceKey,
 };
 use super::{compose_tightness_report, AnalysisResult, CacheMetrics, Detached, EngineConfig};
 use super::{EngineError, Query};
@@ -28,7 +29,7 @@ pub(crate) struct Shard {
     pub(super) index: HashMap<NestSignature, usize>,
     pub(super) betas: BoundedLru<BetaKey, Vec<Rational>>,
     pub(super) results: BoundedLru<ResultKey, CachedResult>,
-    pub(super) slices: BoundedLru<SliceKey, SliceEntry>,
+    pub(super) slices: BoundedLru<SliceKey, ValueFunction>,
     pub(super) surfaces: BoundedLru<SurfaceKey, StoredSurface>,
 }
 
@@ -193,10 +194,10 @@ impl Shard {
                     .summary_for(axes, order.as_deref());
                 Some(AnalysisResult::Surface(summary))
             }
-            Query::Slice { .. } => match self.slices.peek(&span_key(e, loop_perm, query)?)? {
-                SliceEntry::Span(vf) => Some(AnalysisResult::Slice(vf.clone())),
-                SliceEntry::Probe(_) => None,
-            },
+            Query::Slice { .. } => {
+                let vf = self.slices.peek(&slice_key(e, loop_perm, query)?)?;
+                Some(AnalysisResult::Slice(vf.clone()))
+            }
         }
     }
 
@@ -296,12 +297,11 @@ impl Shard {
                 AnalysisResult::Surface(summary)
             }
             (Query::Slice { .. }, AnalysisResult::Slice(vf)) => {
-                let key = span_key(e, loop_perm, query)
+                let key = slice_key(e, loop_perm, query)
                     .ok_or(EngineError::Internal("slice axis outside the nest"))?;
                 if !self.slices.contains(&key) {
-                    let entry = SliceEntry::Span(vf.clone());
-                    let c = cost::slice_entry(&entry);
-                    self.slices.insert(key, entry, c);
+                    let c = cost::value_function(&vf);
+                    self.slices.insert(key, vf.clone(), c);
                 }
                 AnalysisResult::Slice(vf)
             }
@@ -322,7 +322,7 @@ impl Shard {
 /// The cache key of a `Slice` query on entry `e`, in canonical coordinates
 /// (`loop_perm` maps the query's axis); `None` for any other query, or an
 /// axis outside the nest.
-fn span_key(e: usize, loop_perm: &[usize], query: &Query) -> Option<SliceKey> {
+fn slice_key(e: usize, loop_perm: &[usize], query: &Query) -> Option<SliceKey> {
     let Query::Slice {
         cache_size,
         axis,
@@ -336,9 +336,7 @@ fn span_key(e: usize, loop_perm: &[usize], query: &Query) -> Option<SliceKey> {
         entry: e,
         m: *cache_size,
         canon_axis: *loop_perm.get(*axis)?,
-        kind: SliceKind::Span {
-            lo_bound: *lo_bound,
-            hi_bound: *hi_bound,
-        },
+        lo_bound: *lo_bound,
+        hi_bound: *hi_bound,
     })
 }

@@ -440,7 +440,7 @@ impl SharedEngine {
     }
 
     /// Counts one resolved query as a hit or a miss, in total and per kind.
-    pub(super) fn count(&self, kind: usize, hit: bool) {
+    fn count(&self, kind: usize, hit: bool) {
         let (total, per_kind) = if hit {
             (&self.hits, &self.kind_hits)
         } else {
@@ -454,12 +454,6 @@ impl SharedEngine {
         }
     }
 
-    /// Counts one query answered outside the batch pipeline (the
-    /// [`super::Engine`] façade's bound probe).
-    pub(super) fn count_query(&self) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// The per-shard cache budgets.
     pub(super) fn shard_config(&self) -> EngineConfig {
         self.shards
@@ -469,11 +463,9 @@ impl SharedEngine {
     }
 
     /// Exclusive access to the first shard — the only one of the
-    /// single-shard [`super::Engine`] façade — and the context pool, with
-    /// no lock guard held.
-    pub(super) fn sole_shard(&mut self) -> Option<(&mut Shard, &ContextPool)> {
-        let shard = self.shards.first_mut()?.get_mut();
-        Some((shard, &self.pool))
+    /// single-shard [`super::Engine`] façade — with no lock guard held.
+    pub(super) fn sole_shard(&mut self) -> Option<&mut Shard> {
+        Some(self.shards.first_mut()?.get_mut())
     }
 
     /// Serializes the whole front — every shard's result caches — as one

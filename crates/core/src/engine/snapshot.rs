@@ -25,6 +25,12 @@
 //! nothing computes into, so it is empty unless a restored snapshot filled
 //! it; restore still reads and checks it.
 //!
+//! Every slice record is a `"span"` over `[lo, hi]`. Older builds also
+//! wrote `"probe"` records (`{"kind": "probe", "hi": H, ..}`, no `lo`) for
+//! `exponent_at_bound` sweeps; restore reads one as the span slice
+//! `[1, H]` under the same key, which is the sweep it holds and the slice
+//! query `exponent_at_bound` asks for.
+//!
 //! # Versioning caveats
 //!
 //! `version` is checked on restore and unknown versions are rejected
@@ -35,19 +41,20 @@
 //! depth cap bounds recursion, every index is bounds-checked, permutations
 //! are validated before use, and artifact payloads are shape-checked
 //! against their nest (certificate vector lengths, witness-subset ranges,
-//! slice sortedness and probe coverage, surface coordinate dimensions, and
-//! cache sizes no valid session can produce) so a restored cache can never
-//! panic a worker that consumes it (pinned by `tests/snapshot_hostile.rs`).
+//! slice sortedness and bound-range coverage, surface coordinate
+//! dimensions, and cache sizes no valid session can produce) so a restored
+//! cache can never panic a worker that consumes it (pinned by
+//! `tests/snapshot_hostile.rs`).
 
 use serde::{Deserialize, Serialize, Value};
 
-use projtile_arith::Rational;
+use projtile_arith::{log, Rational};
 use projtile_loopnest::{canonicalize, LoopNest};
 use projtile_lp::parametric::ValueFunction;
 
 use super::cache::{
-    cost, BetaKey, CachedResult, NestEntry, Orientation, PointSlice, ResultKey, ResultKind,
-    SliceEntry, SliceKey, SliceKind, StoredSurface, SurfaceKey,
+    cost, BetaKey, CachedResult, NestEntry, Orientation, ResultKey, ResultKind, SliceKey,
+    StoredSurface, SurfaceKey,
 };
 use super::shard::Shard;
 use super::{summarize_surface, EngineConfig, EngineError};
@@ -217,30 +224,16 @@ impl Shard {
         let slices: Vec<Value> = self
             .slices
             .iter_lru_to_mru()
-            .filter_map(|(k, s)| {
-                let mut fields = vec![
+            .map(|(k, vf)| {
+                obj(vec![
                     ("entry", (k.entry + entry_offset).serialize()),
                     ("m", k.m.serialize()),
                     ("axis", k.canon_axis.serialize()),
-                ];
-                match (k.kind, s) {
-                    (SliceKind::Span { lo_bound, hi_bound }, SliceEntry::Span(vf)) => {
-                        fields.push(("kind", Value::String("span".into())));
-                        fields.push(("lo", lo_bound.serialize()));
-                        fields.push(("hi", hi_bound.serialize()));
-                        fields.push(("value", vf.serialize()));
-                    }
-                    (SliceKind::Probe, SliceEntry::Probe(ps)) => {
-                        fields.push(("kind", Value::String("probe".into())));
-                        fields.push(("hi", ps.hi_bound.serialize()));
-                        fields.push(("value", ps.vf.serialize()));
-                    }
-                    // A key/entry variant mismatch cannot be built by the
-                    // insertion paths; dropping the cache entry from the
-                    // snapshot (it is only a memo) beats unwinding mid-write.
-                    _ => return None,
-                }
-                Some(obj(fields))
+                    ("kind", Value::String("span".into())),
+                    ("lo", k.lo_bound.serialize()),
+                    ("hi", k.hi_bound.serialize()),
+                    ("value", vf.serialize()),
+                ])
             })
             .collect();
         let surfaces: Vec<Value> = self
@@ -474,9 +467,6 @@ impl Shard {
             }
             let kind: String = de("slice kind", field(sv, "kind")?)?;
             let vf: ValueFunction = de("slice value function", field(sv, "value")?)?;
-            if vf.breakpoints.is_empty() {
-                return Err(EngineError::Snapshot("empty slice value function".into()));
-            }
             // `value_at` brackets by scanning windows, which relies on the
             // breakpoints being sorted by θ; an unsorted hostile list would
             // trip its `unreachable!` the first time the slice is evaluated.
@@ -486,15 +476,18 @@ impl Shard {
                     "slice value function breakpoints are not sorted".into(),
                 ));
             }
-            let (kind, entry) = match kind.as_str() {
+            let (lo_bound, hi_bound) = match kind.as_str() {
                 "span" => {
                     let lo_bound: u64 = de("slice lo", field(sv, "lo")?)?;
                     let hi_bound: u64 = de("slice hi", field(sv, "hi")?)?;
                     if lo_bound < 1 || hi_bound < lo_bound {
                         return Err(EngineError::Snapshot("slice bound range is invalid".into()));
                     }
-                    (SliceKind::Span { lo_bound, hi_bound }, SliceEntry::Span(vf))
+                    (lo_bound, hi_bound)
                 }
+                // Older builds stored `exponent_at_bound` sweeps as "probe"
+                // records: the sweep over `[1, hi]`, which this build keeps
+                // as that span slice.
                 "probe" => {
                     let hi_bound: u64 = de("probe hi", field(sv, "hi")?)?;
                     if hi_bound < 1 {
@@ -502,28 +495,7 @@ impl Shard {
                             "probe bound must be at least 1".into(),
                         ));
                     }
-                    // A probe slice answers every bound in `1..=hi_bound` by
-                    // evaluating at `θ = log_M bound` — its value function
-                    // must actually span that interval, or `value_at` panics
-                    // on a covered-looking request.
-                    let hi_theta = projtile_arith::log::beta(hi_bound as u128, m as u128);
-                    let (Some(first), Some(last)) = (vf.breakpoints.first(), vf.breakpoints.last())
-                    else {
-                        return Err(EngineError::Snapshot(
-                            "empty probe slice value function".into(),
-                        ));
-                    };
-                    let lo_covered = first.0 <= Rational::zero();
-                    let hi_covered = last.0 >= hi_theta;
-                    if !lo_covered || !hi_covered {
-                        return Err(EngineError::Snapshot(
-                            "probe slice does not cover its declared bound range".into(),
-                        ));
-                    }
-                    (
-                        SliceKind::Probe,
-                        SliceEntry::Probe(PointSlice { hi_bound, vf }),
-                    )
+                    (1, hi_bound)
                 }
                 other => {
                     return Err(EngineError::Snapshot(format!(
@@ -531,14 +503,31 @@ impl Shard {
                     )))
                 }
             };
+            // A slice answers bounds in `[lo, hi]` by evaluating at
+            // `θ = log_M bound` (`exponent_at_bound` does so directly), so
+            // its breakpoints must span that interval, or `value_at` panics
+            // on a covered-looking request.
+            let (Some((first, _)), Some((last, _))) =
+                (vf.breakpoints.first(), vf.breakpoints.last())
+            else {
+                return Err(EngineError::Snapshot("empty slice value function".into()));
+            };
+            if *first > log::beta(lo_bound as u128, m as u128)
+                || *last < log::beta(hi_bound as u128, m as u128)
+            {
+                return Err(EngineError::Snapshot(
+                    "slice does not cover its declared bound range".into(),
+                ));
+            }
             let key = SliceKey {
                 entry: e,
                 m,
                 canon_axis: axis,
-                kind,
+                lo_bound,
+                hi_bound,
             };
-            let c = cost::slice_entry(&entry);
-            shard.slices.insert(key, entry, c);
+            let c = cost::value_function(&vf);
+            shard.slices.insert(key, vf, c);
         }
 
         for sv in as_array(field(value, "surfaces")?, "surfaces")? {

@@ -294,6 +294,50 @@ fn exponent_at_bound_survives_extreme_bounds() {
 }
 
 #[test]
+fn exponent_at_bound_and_slice_queries_share_one_memo() {
+    // A probe is the slice query `[1, H]`, with `H` the largest of the
+    // bound, the nest's bound on the axis and M, rounded up to a power of
+    // two: here every bound <= 256 asks for `[1, 256]`. So an explicit
+    // sweep of that span answers later probes, and a probe's sweep answers
+    // the explicit query, both as hits.
+    let nest = builders::matmul(1 << 6, 1 << 6, 1 << 6);
+    let m = 1u64 << 8;
+    let span = Query::Slice {
+        cache_size: m,
+        axis: 2,
+        lo_bound: 1,
+        hi_bound: m,
+    };
+
+    let mut engine = Engine::new();
+    let swept = engine.analyze(&nest, &span).unwrap();
+    assert_matches_oracle(&nest, &span, &swept);
+    for bound in [1u64, 37, 256] {
+        let probe = engine.exponent_at_bound(&nest, m, 2, bound).unwrap();
+        let cold = parametric::exponent_at_bound_cold(&nest, m, 2, bound);
+        assert_eq!(probe, cold, "bound {bound}");
+    }
+    let stats = engine.stats();
+    assert_eq!(
+        (stats.hits, stats.misses),
+        (3, 1),
+        "slice then probes: {stats:?}"
+    );
+
+    let mut engine = Engine::new();
+    let probe = engine.exponent_at_bound(&nest, m, 2, 37).unwrap();
+    assert_eq!(probe, parametric::exponent_at_bound_cold(&nest, m, 2, 37));
+    let swept = engine.analyze(&nest, &span).unwrap();
+    assert_matches_oracle(&nest, &span, &swept);
+    let stats = engine.stats();
+    assert_eq!(
+        (stats.hits, stats.misses),
+        (1, 1),
+        "probe then slice: {stats:?}"
+    );
+}
+
+#[test]
 fn slices_are_shared_across_permuted_variants() {
     // A slice computed for one declaration order answers the permuted
     // variant's equivalent slice from cache (the value function carries no

@@ -7,13 +7,15 @@
 //! fails the test loudly).
 
 use projtile_core::engine::{Engine, EngineError, Query};
+use projtile_core::parametric;
 use projtile_loopnest::builders;
-use serde::Value;
+use serde::{json, Value};
 
 const M: u64 = 1 << 8;
 
 /// A warmed engine whose snapshot contains every artifact class it writes:
-/// all five result kinds, a span slice, a probe slice, and a surface.
+/// all five result kinds, two span slices (an explicit `[1, 64]` sweep and
+/// the `[1, 256]` slice behind `exponent_at_bound`), and a surface.
 fn warmed_engine() -> Engine {
     let nest = builders::matmul(64, 64, 64);
     let mut engine = Engine::new();
@@ -48,6 +50,44 @@ fn warmed_engine() -> Engine {
     engine
 }
 
+/// Rewrites a span record over `[1, hi]` as the legacy `"probe"`
+/// record older builds wrote for the same sweep (same fields, no `lo`).
+fn as_legacy_probe(span: &Value) -> Value {
+    let Value::Object(fields) = span else {
+        panic!("slice records are objects");
+    };
+    assert!(
+        matches!(span.field("lo"), Ok(Value::Int(1))),
+        "a probe sweep starts at bound 1"
+    );
+    Value::Object(
+        fields
+            .iter()
+            .filter(|(k, _)| k != "lo")
+            .map(|(k, v)| match k.as_str() {
+                "kind" => (k.clone(), Value::String("probe".into())),
+                _ => (k.clone(), v.clone()),
+            })
+            .collect(),
+    )
+}
+
+/// A genuine snapshot of [`warmed_engine`] plus a legacy `"probe"` slice
+/// record: fresh snapshots store every slice as a span, but restore still
+/// reads the probe records of older builds, so the hostile corpus appends
+/// one by hand (a copy of the `[1, 256]` probe sweep's span record).
+fn warmed_snapshot() -> Value {
+    let mut snapshot = warmed_engine().snapshot();
+    let slices = arr_mut(obj_mut(&mut snapshot, "slices"));
+    let span = slices
+        .iter()
+        .find(|v| matches!(v.field("hi"), Ok(Value::Int(256))))
+        .expect("the probe's [1, 256] span slice");
+    let probe = as_legacy_probe(span);
+    slices.push(probe);
+    snapshot
+}
+
 fn obj_mut<'a>(v: &'a mut Value, name: &str) -> &'a mut Value {
     match v {
         Value::Object(entries) => entries
@@ -77,7 +117,7 @@ fn find_kind<'a>(list: &'a mut [Value], kind: &str) -> &'a mut Value {
 /// Applies `mutate` to a fresh genuine snapshot and asserts restore rejects
 /// the result with a `Snapshot` error mentioning `expect_msg`.
 fn assert_rejected(mutate: impl FnOnce(&mut Value), expect_msg: &str) {
-    let mut snapshot = warmed_engine().snapshot();
+    let mut snapshot = warmed_snapshot();
     mutate(&mut snapshot);
     match Engine::restore(&snapshot) {
         Err(EngineError::Snapshot(msg)) => assert!(
@@ -95,7 +135,7 @@ fn assert_rejected(mutate: impl FnOnce(&mut Value), expect_msg: &str) {
 /// partially-restored engine presented as whole.
 #[test]
 fn truncated_snapshot_prefixes_never_restore_partially() {
-    let text = warmed_engine().snapshot_json();
+    let text = json::to_string(&warmed_snapshot());
     assert!(
         Engine::restore_json(&text).is_ok(),
         "full document restores"
@@ -119,7 +159,7 @@ fn truncated_snapshot_prefixes_never_restore_partially() {
 
 #[test]
 fn genuine_snapshot_restores() {
-    let snapshot = warmed_engine().snapshot();
+    let snapshot = warmed_snapshot();
     Engine::restore(&snapshot).expect("unmutated snapshot restores");
 }
 
@@ -242,6 +282,45 @@ fn rejects_undercovered_probe() {
         },
         "does not cover its declared bound range",
     );
+}
+
+#[test]
+fn rejects_undercovered_span() {
+    assert_rejected(
+        |s| {
+            // The same claim on a span record: the value function spans
+            // β ∈ [0, 3/4], not the declared bounds up to 2^60.
+            let span = find_kind(arr_mut(obj_mut(s, "slices")), "span");
+            *obj_mut(span, "hi") = Value::Int(1 << 60);
+        },
+        "does not cover its declared bound range",
+    );
+}
+
+#[test]
+fn restored_legacy_probe_answers_exponent_at_bound_as_a_hit() {
+    // A snapshot holding only the legacy probe record of one sweep: restore
+    // files it as the span slice `[1, 256]`, which is the slice query
+    // `exponent_at_bound` asks for on this nest, so every probe hits.
+    let nest = builders::matmul(64, 64, 64);
+    let mut engine = Engine::new();
+    engine
+        .exponent_at_bound(&nest, M, 2, 32)
+        .expect("probe sweeps");
+    let mut snapshot = engine.snapshot();
+    let slices = arr_mut(obj_mut(&mut snapshot, "slices"));
+    assert_eq!(slices.len(), 1, "one sweep, one slice record");
+    let probe = as_legacy_probe(&slices[0]);
+    slices[0] = probe;
+
+    let mut restored = Engine::restore(&snapshot).expect("legacy probe restores");
+    for bound in [1u64, 32, 100, 256] {
+        let warm = restored.exponent_at_bound(&nest, M, 2, bound).unwrap();
+        let cold = parametric::exponent_at_bound_cold(&nest, M, 2, bound);
+        assert_eq!(warm, cold, "bound {bound}");
+    }
+    let stats = restored.stats();
+    assert_eq!((stats.hits, stats.misses), (4, 0), "stats: {stats:?}");
 }
 
 #[test]

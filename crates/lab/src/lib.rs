@@ -12,13 +12,14 @@
 //!    install costs, and how the front resolved it.
 //! 2. **Replay** ([`replay`]): the drained
 //!    [`projtile_core::engine::TraceDocument`] is pushed through simulated
-//!    cache hierarchies. The [`policy::LruPolicy`] simulator mirrors the live
-//!    `BoundedLru` exactly — replaying a cold-start trace at the recorded
-//!    budgets reproduces the live hit/miss accounting **event for event**
+//!    cache hierarchies. Exact LRU is the live `BoundedLru` itself, keyed by
+//!    trace hashes — replaying a cold-start trace at the recorded budgets
+//!    reproduces the live hit/miss accounting **event for event**
 //!    ([`replay::check_live`], the keystone differential pinned by this
 //!    crate's tests and the repository's CI smoke stage). Candidate policies
-//!    (TTL, cost-aware admission, segmented 2Q) then answer "what would the
-//!    hit rate have been?" counterfactually.
+//!    (TTL, cost-aware admission, segmented 2Q; thin rules over the same
+//!    map, see [`policy`]) then answer "what would the hit rate have been?"
+//!    counterfactually.
 //! 3. **Generate** ([`generate`]): a deterministic seeded workload generator
 //!    (zipf / hotspot / mixed patterns over the paper's nest corpus) drives
 //!    either an in-process front or a live server through the service
@@ -40,6 +41,6 @@ pub mod replay;
 pub mod report;
 
 pub use generate::{DriveStats, GeneratorConfig, Pattern, Workload};
-pub use policy::{PolicyCache, PolicyKind, SimCacheStats};
+pub use policy::{PolicyCache, PolicyKind};
 pub use replay::{check_live, replay_document, Budgets, EventClass, ReplayError, ReplayReport};
 pub use report::{budget_sweep, compare_policies, render_report, LabReport};

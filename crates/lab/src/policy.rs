@@ -7,34 +7,24 @@
 //! three operations the live install/lookup paths perform: residency check,
 //! recency touch, and cost-charged insert with eviction.
 //!
-//! [`LruPolicy`] is the reference: it mirrors `BoundedLru` exactly,
-//! including the two subtleties that matter for the event-exact differential
-//! — peeks count as recency (the live map folds atomic peek stamps into its
-//! recency list before choosing a victim, so under serialized traffic
-//! `peek`, `get` and `insert` produce one total recency order), and the most
-//! recently used entry is never evicted even when its cost alone exceeds the
-//! budget. The other policies are counterfactual candidates scored by
-//! [`crate::report::compare_policies`].
+//! Exact LRU is the live map itself: [`BoundedLru<SimKey, ()>`] implements
+//! [`PolicyCache`] directly, so the `--check-live` differential replays the
+//! trace against the same code the service runs (under serialized traffic
+//! the live read path's peeks fold into exactly the recency order that
+//! `get` produces here). The counterfactual candidates scored by
+//! [`crate::report::compare_policies`] are thin rules over `BoundedLru`'s
+//! public API: every one of them takes residency, recency order and
+//! eviction from a `BoundedLru` and keeps no recency order of its own (TTL
+//! keeps a last-access tick per key, read only to decide expiry).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+
+use projtile_cachesim::{BoundedLru, BoundedLruStats};
 
 /// A simulated cache key: the event's cache-canonical family hash plus a
 /// small component tag (tightness reports and their four component
 /// artifacts share a family but occupy distinct entries).
 pub type SimKey = u128;
-
-/// Occupancy and eviction counters of one simulated cache family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SimCacheStats {
-    /// Entries currently resident.
-    pub entries: usize,
-    /// Total cost of the resident entries.
-    pub cost: u64,
-    /// The configured cost budget.
-    pub capacity: u64,
-    /// Entries evicted (including TTL expirations, for the TTL policy).
-    pub evictions: u64,
-}
 
 /// The operations trace replay performs against one simulated cache family.
 pub trait PolicyCache {
@@ -45,8 +35,8 @@ pub trait PolicyCache {
     /// Inserts (or replaces) `key` at `cost`, marks it most recently used,
     /// and enforces the policy's retention rule.
     fn insert(&mut self, key: SimKey, cost: u64);
-    /// Lifetime counters.
-    fn stats(&self) -> SimCacheStats;
+    /// Occupancy and lifetime eviction counters.
+    fn stats(&self) -> BoundedLruStats;
 
     /// [`PolicyCache::insert`] only when `key` is absent — the live
     /// contains-guarded install path (tightness components, surfaces,
@@ -59,123 +49,20 @@ pub trait PolicyCache {
     }
 }
 
-/// The shared exact-LRU machinery: a key map plus a recency order on
-/// logical ticks. Under serialized traffic this is order-isomorphic to the
-/// live `BoundedLru` (peek stamps fold into exactly this order).
-#[derive(Debug, Default)]
-struct Core {
-    map: HashMap<SimKey, (u64, u64)>, // key -> (cost, last tick)
-    order: BTreeMap<u64, SimKey>,     // last tick -> key (ticks are unique)
-    total: u64,
-    clock: u64,
-    evictions: u64,
-}
-
-impl Core {
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
-    fn touch(&mut self, key: SimKey) -> bool {
-        let tick = self.tick();
-        match self.map.get_mut(&key) {
-            Some((_, at)) => {
-                self.order.remove(at);
-                *at = tick;
-                self.order.insert(tick, key);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn insert(&mut self, key: SimKey, cost: u64) {
-        let tick = self.tick();
-        match self.map.get_mut(&key) {
-            Some((old_cost, at)) => {
-                self.total = self.total - *old_cost + cost;
-                self.order.remove(at);
-                *old_cost = cost;
-                *at = tick;
-                self.order.insert(tick, key);
-            }
-            None => {
-                self.map.insert(key, (cost, tick));
-                self.order.insert(tick, key);
-                self.total += cost;
-            }
-        }
-    }
-
-    fn remove(&mut self, key: SimKey) -> Option<u64> {
-        let (cost, at) = self.map.remove(&key)?;
-        self.order.remove(&at);
-        self.total -= cost;
-        Some(cost)
-    }
-
-    /// Evicts least recently used entries until `capacity` is respected,
-    /// never evicting the sole remaining (most recent) entry — the live
-    /// `BoundedLru` keeps the newest insertion even when it alone exceeds
-    /// the budget.
-    fn evict_to_fit(&mut self, capacity: u64) -> Vec<(SimKey, u64)> {
-        let mut out = Vec::new();
-        while self.total > capacity && self.map.len() > 1 {
-            let Some((&at, &key)) = self.order.iter().next() else {
-                break;
-            };
-            let _ = at;
-            if let Some(cost) = self.remove(key) {
-                self.evictions += 1;
-                out.push((key, cost));
-            }
-        }
-        out
-    }
-
-    fn stats(&self, capacity: u64) -> SimCacheStats {
-        SimCacheStats {
-            entries: self.map.len(),
-            cost: self.total,
-            capacity,
-            evictions: self.evictions,
-        }
-    }
-}
-
-/// Exact least-recently-used at a cost budget — the reference simulator
-/// mirroring the live `BoundedLru` (see the module docs for the invariants
-/// this preserves).
-#[derive(Debug)]
-pub struct LruPolicy {
-    core: Core,
-    capacity: u64,
-}
-
-impl LruPolicy {
-    /// An empty cache retaining at most `capacity` cost units.
-    pub fn new(capacity: u64) -> LruPolicy {
-        LruPolicy {
-            core: Core::default(),
-            capacity,
-        }
-    }
-}
-
-impl PolicyCache for LruPolicy {
+/// Exact least-recently-used at a cost budget — the live policy and the
+/// differential reference.
+impl PolicyCache for BoundedLru<SimKey, ()> {
     fn contains(&self, key: SimKey) -> bool {
-        self.core.map.contains_key(&key)
+        BoundedLru::contains(self, &key)
     }
     fn touch(&mut self, key: SimKey) -> bool {
-        self.core.touch(key)
+        self.get(&key).is_some()
     }
     fn insert(&mut self, key: SimKey, cost: u64) {
-        self.core.insert(key, cost);
-        self.core.evict_to_fit(self.capacity);
+        BoundedLru::insert(self, key, (), cost);
     }
-    fn stats(&self) -> SimCacheStats {
-        self.core.stats(self.capacity)
+    fn stats(&self) -> BoundedLruStats {
+        BoundedLru::stats(self)
     }
 }
 
@@ -183,11 +70,15 @@ impl PolicyCache for LruPolicy {
 /// ticks no longer answers lookups (lazy expiry, counted as an eviction).
 /// Models a service that ages out stale memo entries to bound staleness
 /// rather than only memory.
-#[derive(Debug)]
 pub struct TtlPolicy {
-    core: Core,
-    capacity: u64,
+    lru: BoundedLru<SimKey, ()>,
     ttl: u64,
+    /// The logical clock: one tick per touch or insert.
+    clock: u64,
+    /// Tick of each key's last touch or insert. Read only to decide expiry;
+    /// the recency order and eviction are the LRU map's.
+    last_access: HashMap<SimKey, u64>,
+    expirations: u64,
 }
 
 impl TtlPolicy {
@@ -195,40 +86,58 @@ impl TtlPolicy {
     /// across the whole family — the replay's logical clock).
     pub fn new(capacity: u64, ttl: u64) -> TtlPolicy {
         TtlPolicy {
-            core: Core::default(),
-            capacity,
+            lru: BoundedLru::new(capacity),
             ttl,
+            clock: 0,
+            last_access: HashMap::new(),
+            expirations: 0,
         }
     }
 
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
     fn expired(&self, key: SimKey) -> bool {
-        match self.core.map.get(&key) {
-            Some((_, at)) => self.core.clock.saturating_sub(*at) > self.ttl,
-            None => false,
-        }
+        self.lru.contains(&key)
+            && self
+                .last_access
+                .get(&key)
+                .is_some_and(|at| self.clock.saturating_sub(*at) > self.ttl)
     }
 }
 
 impl PolicyCache for TtlPolicy {
     fn contains(&self, key: SimKey) -> bool {
-        self.core.map.contains_key(&key) && !self.expired(key)
+        self.lru.contains(&key) && !self.expired(key)
     }
     fn touch(&mut self, key: SimKey) -> bool {
-        if self.expired(key) {
-            self.core.remove(key);
-            self.core.evictions += 1;
-            // The touch still advances the clock, like any lookup.
-            self.core.tick();
+        let expired = self.expired(key);
+        let now = self.tick();
+        if expired {
+            self.lru.remove(&key);
+            self.last_access.remove(&key);
+            self.expirations += 1;
             return false;
         }
-        self.core.touch(key)
+        let hit = self.lru.get(&key).is_some();
+        if hit {
+            self.last_access.insert(key, now);
+        }
+        hit
     }
     fn insert(&mut self, key: SimKey, cost: u64) {
-        self.core.insert(key, cost);
-        self.core.evict_to_fit(self.capacity);
+        let now = self.tick();
+        self.lru.insert(key, (), cost);
+        self.last_access.insert(key, now);
     }
-    fn stats(&self) -> SimCacheStats {
-        self.core.stats(self.capacity)
+    fn stats(&self) -> BoundedLruStats {
+        let stats = self.lru.stats();
+        BoundedLruStats {
+            evictions: stats.evictions + self.expirations,
+            ..stats
+        }
     }
 }
 
@@ -236,11 +145,9 @@ impl PolicyCache for TtlPolicy {
 /// `capacity / admit_denom` is never cached (the query recomputes every
 /// time). Models protecting many small memo entries from a few bulky
 /// surfaces wiping the family.
-#[derive(Debug)]
 pub struct AdmitPolicy {
-    core: Core,
-    capacity: u64,
-    admit_denom: u64,
+    lru: BoundedLru<SimKey, ()>,
+    max_cost: u64,
     bypassed: u64,
 }
 
@@ -249,9 +156,8 @@ impl AdmitPolicy {
     /// `capacity / admit_denom` (`admit_denom` is clamped to at least 1).
     pub fn new(capacity: u64, admit_denom: u64) -> AdmitPolicy {
         AdmitPolicy {
-            core: Core::default(),
-            capacity,
-            admit_denom: admit_denom.max(1),
+            lru: BoundedLru::new(capacity),
+            max_cost: capacity / admit_denom.max(1),
             bypassed: 0,
         }
     }
@@ -264,21 +170,20 @@ impl AdmitPolicy {
 
 impl PolicyCache for AdmitPolicy {
     fn contains(&self, key: SimKey) -> bool {
-        self.core.map.contains_key(&key)
+        self.lru.contains(&key)
     }
     fn touch(&mut self, key: SimKey) -> bool {
-        self.core.touch(key)
+        self.lru.get(&key).is_some()
     }
     fn insert(&mut self, key: SimKey, cost: u64) {
-        if cost > self.capacity / self.admit_denom {
+        if cost > self.max_cost {
             self.bypassed += 1;
             return;
         }
-        self.core.insert(key, cost);
-        self.core.evict_to_fit(self.capacity);
+        self.lru.insert(key, (), cost);
     }
-    fn stats(&self) -> SimCacheStats {
-        self.core.stats(self.capacity)
+    fn stats(&self) -> BoundedLruStats {
+        self.lru.stats()
     }
 }
 
@@ -287,11 +192,14 @@ impl PolicyCache for AdmitPolicy {
 /// protected segment (three quarters). Protected overflow demotes back to
 /// probation rather than evicting outright, so one burst of new keys cannot
 /// flush the established working set.
-#[derive(Debug)]
+///
+/// Each segment is a `BoundedLru` holding every entry's cost as its value.
+/// Probation evicts at its own budget; the protected map is unbounded, and
+/// the policy enforces the protected budget by moving that map's least
+/// recently used entries to probation instead.
 pub struct TwoQPolicy {
-    probation: Core,
-    protected: Core,
-    probation_cap: u64,
+    probation: BoundedLru<SimKey, u64>,
+    protected: BoundedLru<SimKey, u64>,
     protected_cap: u64,
 }
 
@@ -301,55 +209,61 @@ impl TwoQPolicy {
     pub fn new(capacity: u64) -> TwoQPolicy {
         let probation_cap = capacity / 4;
         TwoQPolicy {
-            probation: Core::default(),
-            protected: Core::default(),
-            probation_cap,
+            probation: BoundedLru::new(probation_cap),
+            protected: BoundedLru::new(u64::MAX),
             protected_cap: capacity - probation_cap,
         }
     }
 
-    fn rebalance(&mut self) {
-        // Protected overflow demotes (most demotions land as probation's
-        // most recent entries); probation overflow evicts for real.
-        for (key, cost) in self.protected.evict_to_fit(self.protected_cap) {
-            self.protected.evictions -= 1; // demotion, not an eviction
-            self.probation.insert(key, cost);
+    /// Demotes least recently used protected entries (oldest first, so most
+    /// demotions land as probation's most recent entries) until the
+    /// protected budget holds, never demoting the sole remaining entry;
+    /// probation overflow then evicts for real.
+    fn demote_overflow(&mut self) {
+        while self.protected.stats().cost > self.protected_cap && self.protected.len() > 1 {
+            let Some((&key, &cost)) = self.protected.iter_lru_to_mru().next() else {
+                break;
+            };
+            self.protected.remove(&key);
+            self.probation.insert(key, cost, cost);
         }
-        self.probation.evict_to_fit(self.probation_cap);
     }
 }
 
 impl PolicyCache for TwoQPolicy {
     fn contains(&self, key: SimKey) -> bool {
-        self.protected.map.contains_key(&key) || self.probation.map.contains_key(&key)
+        self.protected.contains(&key) || self.probation.contains(&key)
     }
     fn touch(&mut self, key: SimKey) -> bool {
-        if self.protected.touch(key) {
+        if self.protected.get(&key).is_some() {
             return true;
         }
-        if let Some(cost) = self.probation.remove(key) {
-            self.protected.insert(key, cost);
-            self.rebalance();
-            return true;
+        match self.probation.remove(&key) {
+            Some(cost) => {
+                self.protected.insert(key, cost, cost);
+                self.demote_overflow();
+                true
+            }
+            None => false,
         }
-        false
     }
     fn insert(&mut self, key: SimKey, cost: u64) {
-        if self.protected.map.contains_key(&key) {
-            self.protected.insert(key, cost);
+        if self.protected.contains(&key) {
+            self.protected.insert(key, cost, cost);
+            self.demote_overflow();
         } else {
-            self.probation.insert(key, cost);
+            self.probation.insert(key, cost, cost);
         }
-        self.rebalance();
     }
-    fn stats(&self) -> SimCacheStats {
-        let a = self.probation.stats(self.probation_cap);
-        let b = self.protected.stats(self.protected_cap);
-        SimCacheStats {
+    fn stats(&self) -> BoundedLruStats {
+        // Demotions are not evictions, and the unbounded protected map
+        // never evicts: only probation's evictions count.
+        let (a, b) = (self.probation.stats(), self.protected.stats());
+        BoundedLruStats {
             entries: a.entries + b.entries,
             cost: a.cost + b.cost,
-            capacity: a.capacity + b.capacity,
-            evictions: a.evictions + b.evictions,
+            capacity: a.capacity + self.protected_cap,
+            evictions: a.evictions,
         }
     }
 }
@@ -389,7 +303,7 @@ impl PolicyKind {
     /// Builds one simulated cache family at the given cost budget.
     pub fn build(&self, capacity: u64) -> Box<dyn PolicyCache> {
         match self {
-            PolicyKind::Lru => Box::new(LruPolicy::new(capacity)),
+            PolicyKind::Lru => Box::new(BoundedLru::<SimKey, ()>::new(capacity)),
             PolicyKind::Ttl(ttl) => Box::new(TtlPolicy::new(capacity, *ttl)),
             PolicyKind::Admit(denom) => Box::new(AdmitPolicy::new(capacity, *denom)),
             PolicyKind::TwoQ => Box::new(TwoQPolicy::new(capacity)),
@@ -403,7 +317,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recent_but_never_the_sole_entry() {
-        let mut lru = LruPolicy::new(30);
+        let mut lru = PolicyKind::Lru.build(30);
         lru.insert(1, 10);
         lru.insert(2, 10);
         lru.insert(3, 10);

@@ -31,9 +31,10 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
+use projtile_cachesim::BoundedLruStats;
 use projtile_core::engine::{outcome, TraceDocument, TraceEvent};
 
-use crate::policy::{PolicyCache, PolicyKind, SimCacheStats, SimKey};
+use crate::policy::{PolicyCache, PolicyKind, SimKey};
 
 /// Component tags distinguishing co-familial entries in the simulated
 /// results family (mirrors the live `ResultKind`).
@@ -53,9 +54,9 @@ fn key(fam: u64, t: u8) -> SimKey {
     ((fam as u128) << 8) | t as u128
 }
 
-/// Per-shard cost budgets for the three cache families `SharedEngine`
-/// traffic exercises (the betas cache is only populated by single-session
-/// engines and never appears in a front's trace).
+/// Per-shard cost budgets for the three cache families queries exercise
+/// (no query computes into the β cache — only a restored snapshot fills
+/// it — so it never appears in a trace).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Budgets {
     /// Typed-results family budget (bounds, enumerations, tilings,
@@ -161,11 +162,11 @@ pub struct ReplayReport {
     /// trace never priced the entry (only failed computations qualify).
     pub unpriced_installs: u64,
     /// Results-family occupancy/evictions summed across shards.
-    pub results: SimCacheStats,
+    pub results: BoundedLruStats,
     /// Slice-family occupancy/evictions summed across shards.
-    pub slices: SimCacheStats,
+    pub slices: BoundedLruStats,
     /// Surface-family occupancy/evictions summed across shards.
-    pub surfaces: SimCacheStats,
+    pub surfaces: BoundedLruStats,
     /// Event-level divergences from the recording (first 8).
     pub mismatches: Vec<Mismatch>,
     /// Total number of diverging events.
@@ -386,9 +387,9 @@ pub fn replay_document(doc: &TraceDocument, policy: PolicyKind, budgets: Budgets
         byte_hits: 0,
         byte_total: 0,
         unpriced_installs: 0,
-        results: SimCacheStats::default(),
-        slices: SimCacheStats::default(),
-        surfaces: SimCacheStats::default(),
+        results: BoundedLruStats::default(),
+        slices: BoundedLruStats::default(),
+        surfaces: BoundedLruStats::default(),
         mismatches: Vec::new(),
         mismatch_count: 0,
         matches_live: false,

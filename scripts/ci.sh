@@ -89,8 +89,6 @@ if [ "$bench_smoke" = 1 ]; then
     grep -q "engine/snapshot_restore" "$smoke_out"
     grep -q "serde/parse" "$smoke_out"
     grep -q "service/roundtrip" "$smoke_out"
-    grep -q "service/mixed_4threads/secs_per_request" "$smoke_out"
-    grep -q "service/mixed_4threads/p99" "$smoke_out"
     grep -q "service/mixed_traffic/secs_per_request" "$smoke_out"
     grep -q "service/mixed_traffic/p99" "$smoke_out"
     rm -f "$smoke_out"
